@@ -1,300 +1,108 @@
-"""Hot numerical kernels for the mesh equilibrium search.
+"""The payoff kernel behind the mesh equilibrium search.
 
-The payoff of every strategy pair on an N-point mesh is an N x N table;
-building it (and the best-response maxima over it) dominates the runtime of
-the Nash equilibrium search, so it is implemented twice:
+A strategy U(phi, alpha, theta) is linear in the unit quaternion
 
-  * a numba-compiled parallel version (the default), and
-  * a chunked pure-numpy version.
+    q = (c cos(phi), c sin(phi), s cos(alpha), s sin(alpha)),  c, s = cos, sin(theta/2),
 
-Set the environment variable QGAME_NO_NUMBA=1 to force the numpy path; it
-is also used automatically when numba is unavailable. Both paths produce
-identical results up to floating point rounding and both are deterministic
-regardless of thread count (all reductions are per-row/per-column).
+namely U = q0 I + q1 diag(i, -i) + q2 [[0, 1], [-1, 0]] + q3 [[0, i], [i, 0]].
+Each final amplitude of the protocol J^dag (U1 x U2) J |00> is therefore
+bilinear, A_k = q1^T C_k q2, with complex 4x4 matrices C_k fixed by J, and
+every payoff sum_k u_k |A_k|^2 is a real bilinear form f(q1)^T W_u f(q2) in
+the ten products f(q) = (q_a q_b, a <= b). W_u is a 10x10 matrix built once
+from J and the payoff table, so the payoffs of N strategies against each
+other are the single matrix product F W_u F^T, for any 4x4 entangler J.
+
+The features are even in q, so U and -U give equal payoffs, and they agree
+to rounding at phi, alpha = 0 and 2*pi. Results are deterministic: every
+reduction is per row of a fixed block.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("QGAME_NO_NUMBA", "") == ""
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:
-        USE_NUMBA = False
+USE_NUMBA = False  # there is no compiled backend; kept for tools that report the backend
 
-HAVE_NUMBA = USE_NUMBA
+# Strategy rows per block of the streaming equilibrium search; one block of
+# both players' payoffs (BLOCK_ROWS x 2N doubles) stays in cache.
+BLOCK_ROWS = 128
 
-
-def _trig(angles: np.ndarray) -> np.ndarray:
-    """Per-strategy trig table: columns cos/sin of phi, alpha and theta/2."""
-    phi, alpha, theta = angles[:, 0], angles[:, 1], angles[:, 2]
-    return np.stack(
-        [
-            np.cos(phi),
-            np.sin(phi),
-            np.cos(alpha),
-            np.sin(alpha),
-            np.cos(theta / 2.0),
-            np.sin(theta / 2.0),
-        ],
-        axis=1,
-    )
+# U = sum_a q_a _BASIS[a]
+_BASIS = np.array(
+    [np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]], dtype=complex
+)
+# (B_a x B_b) as _PRODUCTS[a, b]
+_PRODUCTS = np.einsum("aij,bkl->abikjl", _BASIS, _BASIS).reshape(4, 4, 4, 4)
+_PAIRS = np.triu_indices(4)  # the ten (a, b) with a <= b
+_PAIR_COUNT = np.where(_PAIRS[0] == _PAIRS[1], 1.0, 2.0)  # q_a q_b appears twice if a != b
 
 
-def _block_payoffs_numpy(trig, i0, i1, sb, cb, u1, u2):
-    """Payoff tables for strategy rows i0:i1 against all columns."""
-    cp, sp, ca, sa, ch, sh = (trig[:, k] for k in range(6))
-    cp1, sp1, ca1, sa1, ch1, sh1 = (x[i0:i1, None] for x in (cp, sp, ca, sa, ch, sh))
-    cos_pp = cp1 * cp - sp1 * sp
-    sin_pp = sp1 * cp + cp1 * sp
-    sin_aa = sa1 * ca + ca1 * sa
-    cos_aa = ca1 * ca - sa1 * sa
-    cos_pa = cp1 * ca + sp1 * sa
-    sin_pa = sp1 * ca - cp1 * sa
-    cos_ap = ca1 * cp + sa1 * sp
-    sin_ap = sa1 * cp - ca1 * sp
-    cc = ch1 * ch
-    ss = sh1 * sh
-    cs = ch1 * sh
-    sc = sh1 * ch
-    a = (cc * cos_pp - ss * sin_aa * sb) ** 2 + (cc * sin_pp * cb) ** 2
-    b = (cs * cos_pa + sc * sin_ap * sb) ** 2 + (cs * sin_pa * cb) ** 2
-    c = (sc * cos_ap - cs * sin_pa * sb) ** 2 + (sc * sin_ap * cb) ** 2
-    d = (ss * cos_aa + cc * sin_pp * sb) ** 2 + (ss * sin_aa * cb) ** 2
-    p1 = a * u1[0] + b * u1[1] + c * u1[2] + d * u1[3]
-    p2 = a * u2[0] + b * u2[1] + c * u2[2] + d * u2[3]
-    return p1, p2
-
-
-def payoff_tables_numpy(angles, beta, u1, u2, chunk=1024):
-    n = angles.shape[0]
-    trig = _trig(angles)
-    sb, cb = np.sin(beta), np.cos(beta)
-    p1 = np.empty((n, n))
-    p2 = np.empty((n, n))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        p1[i0:i1], p2[i0:i1] = _block_payoffs_numpy(trig, i0, i1, sb, cb, u1, u2)
-    return p1, p2
-
-
-def pure_ne_pairs_numpy(angles, beta, u1, u2, tol=1e-9, chunk=768):
-    """Mutual-best-response pairs without materializing the full tables.
-
-    Two passes over the pair space: the first accumulates the row maxima of
-    player 2's table and the column maxima of player 1's table, the second
-    collects all pairs within tol of both maxima. Returns 0-based index
-    pairs plus the payoffs at each pair, ordered lexicographically.
-    """
-    n = angles.shape[0]
-    trig = _trig(angles)
-    sb, cb = np.sin(beta), np.cos(beta)
-    rowmax2 = np.empty(n)
-    colmax1 = np.full(n, -np.inf)
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        p1, p2 = _block_payoffs_numpy(trig, i0, i1, sb, cb, u1, u2)
-        rowmax2[i0:i1] = p2.max(axis=1)
-        np.maximum(colmax1, p1.max(axis=0), out=colmax1)
-    pairs, pay1, pay2 = [], [], []
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        p1, p2 = _block_payoffs_numpy(trig, i0, i1, sb, cb, u1, u2)
-        mask = (p2 >= rowmax2[i0:i1, None] - tol) & (p1 >= colmax1[None, :] - tol)
-        for i, j in np.argwhere(mask):
-            pairs.append((i0 + int(i), int(j)))
-            pay1.append(float(p1[i, j]))
-            pay2.append(float(p2[i, j]))
-    return pairs, pay1, pay2
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _sq_amps(cp1, sp1, ca1, sa1, ch1, sh1, cp2, sp2, ca2, sa2, ch2, sh2, sb, cb):
-        cos_pp = cp1 * cp2 - sp1 * sp2
-        sin_pp = sp1 * cp2 + cp1 * sp2
-        sin_aa = sa1 * ca2 + ca1 * sa2
-        cos_aa = ca1 * ca2 - sa1 * sa2
-        cos_pa = cp1 * ca2 + sp1 * sa2
-        sin_pa = sp1 * ca2 - cp1 * sa2
-        cos_ap = ca1 * cp2 + sa1 * sp2
-        sin_ap = sa1 * cp2 - ca1 * sp2
-        cc = ch1 * ch2
-        ss = sh1 * sh2
-        cs = ch1 * sh2
-        sc = sh1 * ch2
-        a = (cc * cos_pp - ss * sin_aa * sb) ** 2 + (cc * sin_pp * cb) ** 2
-        b = (cs * cos_pa + sc * sin_ap * sb) ** 2 + (cs * sin_pa * cb) ** 2
-        c = (sc * cos_ap - cs * sin_pa * sb) ** 2 + (sc * sin_ap * cb) ** 2
-        d = (ss * cos_aa + cc * sin_pp * sb) ** 2 + (ss * sin_aa * cb) ** 2
-        return a, b, c, d
-
-    @njit(parallel=True, cache=True)
-    def _tables_numba(trig, sb, cb, u1, u2):
-        n = trig.shape[0]
-        p1 = np.empty((n, n))
-        p2 = np.empty((n, n))
-        for i in prange(n):
-            cp1, sp1, ca1, sa1, ch1, sh1 = (
-                trig[i, 0], trig[i, 1], trig[i, 2], trig[i, 3], trig[i, 4], trig[i, 5],
-            )
-            for j in range(n):
-                a, b, c, d = _sq_amps(
-                    cp1, sp1, ca1, sa1, ch1, sh1,
-                    trig[j, 0], trig[j, 1], trig[j, 2], trig[j, 3], trig[j, 4], trig[j, 5],
-                    sb, cb,
-                )
-                p1[i, j] = a * u1[0] + b * u1[1] + c * u1[2] + d * u1[3]
-                p2[i, j] = a * u2[0] + b * u2[1] + c * u2[2] + d * u2[3]
-        return p1, p2
-
-    @njit(parallel=True, cache=True)
-    def _maxima_numba(trig, sb, cb, u1, u2):
-        n = trig.shape[0]
-        rowmax2 = np.empty(n)
-        colmax1 = np.empty(n)
-        for i in prange(n):
-            cp1, sp1, ca1, sa1, ch1, sh1 = (
-                trig[i, 0], trig[i, 1], trig[i, 2], trig[i, 3], trig[i, 4], trig[i, 5],
-            )
-            m2 = -np.inf
-            m1 = -np.inf
-            for j in range(n):
-                a, b, c, d = _sq_amps(
-                    cp1, sp1, ca1, sa1, ch1, sh1,
-                    trig[j, 0], trig[j, 1], trig[j, 2], trig[j, 3], trig[j, 4], trig[j, 5],
-                    sb, cb,
-                )
-                v2 = a * u2[0] + b * u2[1] + c * u2[2] + d * u2[3]
-                if v2 > m2:
-                    m2 = v2
-                # player 1's payoff with roles flipped: row i is the column
-                # player, so this accumulates the column maximum of p1
-                av, bv, cv, dv = _sq_amps(
-                    trig[j, 0], trig[j, 1], trig[j, 2], trig[j, 3], trig[j, 4], trig[j, 5],
-                    cp1, sp1, ca1, sa1, ch1, sh1,
-                    sb, cb,
-                )
-                v1 = av * u1[0] + bv * u1[1] + cv * u1[2] + dv * u1[3]
-                if v1 > m1:
-                    m1 = v1
-            rowmax2[i] = m2
-            colmax1[i] = m1
-        return rowmax2, colmax1
-
-    @njit(parallel=True, cache=True)
-    def _count_ne_numba(trig, sb, cb, u1, u2, rowmax2, colmax1, tol):
-        n = trig.shape[0]
-        counts = np.zeros(n, dtype=np.int64)
-        for i in prange(n):
-            cp1, sp1, ca1, sa1, ch1, sh1 = (
-                trig[i, 0], trig[i, 1], trig[i, 2], trig[i, 3], trig[i, 4], trig[i, 5],
-            )
-            cnt = 0
-            for j in range(n):
-                a, b, c, d = _sq_amps(
-                    cp1, sp1, ca1, sa1, ch1, sh1,
-                    trig[j, 0], trig[j, 1], trig[j, 2], trig[j, 3], trig[j, 4], trig[j, 5],
-                    sb, cb,
-                )
-                v2 = a * u2[0] + b * u2[1] + c * u2[2] + d * u2[3]
-                v1 = a * u1[0] + b * u1[1] + c * u1[2] + d * u1[3]
-                if v2 >= rowmax2[i] - tol and v1 >= colmax1[j] - tol:
-                    cnt += 1
-            counts[i] = cnt
-        return counts
-
-    @njit(parallel=True, cache=True)
-    def _fill_ne_numba(trig, sb, cb, u1, u2, rowmax2, colmax1, tol, offsets, out_i, out_j, out_p1, out_p2):
-        n = trig.shape[0]
-        for i in prange(n):
-            cp1, sp1, ca1, sa1, ch1, sh1 = (
-                trig[i, 0], trig[i, 1], trig[i, 2], trig[i, 3], trig[i, 4], trig[i, 5],
-            )
-            k = offsets[i]
-            for j in range(n):
-                a, b, c, d = _sq_amps(
-                    cp1, sp1, ca1, sa1, ch1, sh1,
-                    trig[j, 0], trig[j, 1], trig[j, 2], trig[j, 3], trig[j, 4], trig[j, 5],
-                    sb, cb,
-                )
-                v2 = a * u2[0] + b * u2[1] + c * u2[2] + d * u2[3]
-                v1 = a * u1[0] + b * u1[1] + c * u1[2] + d * u1[3]
-                if v2 >= rowmax2[i] - tol and v1 >= colmax1[j] - tol:
-                    out_i[k] = i
-                    out_j[k] = j
-                    out_p1[k] = v1
-                    out_p2[k] = v2
-                    k += 1
-
-    def payoff_tables_numba(angles, beta, u1, u2):
-        return _tables_numba(_trig(angles), np.sin(beta), np.cos(beta), u1, u2)
-
-    def pure_ne_pairs_numba(angles, beta, u1, u2, tol=1e-9):
-        trig = _trig(angles)
-        sb, cb = np.sin(beta), np.cos(beta)
-        rowmax2, colmax1 = _maxima_numba(trig, sb, cb, u1, u2)
-        counts = _count_ne_numba(trig, sb, cb, u1, u2, rowmax2, colmax1, tol)
-        total = int(counts.sum())
-        offsets = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        out_i = np.empty(total, dtype=np.int64)
-        out_j = np.empty(total, dtype=np.int64)
-        out_p1 = np.empty(total)
-        out_p2 = np.empty(total)
-        _fill_ne_numba(trig, sb, cb, u1, u2, rowmax2, colmax1, tol, offsets, out_i, out_j, out_p1, out_p2)
-        pairs = [(int(a), int(b)) for a, b in zip(out_i, out_j)]
-        return pairs, out_p1.tolist(), out_p2.tolist()
-
-
-def payoff_tables(angles, beta, u1, u2):
-    """Full N x N payoff tables (P1, P2) via the selected backend."""
-    if USE_NUMBA:
-        return payoff_tables_numba(angles, beta, u1, u2)
-    return payoff_tables_numpy(angles, beta, u1, u2)
-
-
-def pure_ne_pairs(angles, beta, u1, u2, tol=1e-9):
-    """Lexicographically ordered mutual-best-response pairs (0-based)."""
-    if USE_NUMBA:
-        return pure_ne_pairs_numba(angles, beta, u1, u2, tol)
-    return pure_ne_pairs_numpy(angles, beta, u1, u2, tol)
-
-
-def payoff_tables_matrix(angles, j, u1, u2, chunk=128):
-    """Payoff tables via the explicit operator protocol for an arbitrary J.
-
-    Slower than the closed-form kernels but valid for any unitary 4x4 J;
-    used for the second entangler family and for cross-checking.
-    """
-    j = np.asarray(j, dtype=complex)
-    n = angles.shape[0]
+def _features(angles: np.ndarray) -> np.ndarray:
+    """(N, 10) products q_a q_b, a <= b, of each strategy's quaternion."""
     phi, alpha, theta = angles[:, 0], angles[:, 1], angles[:, 2]
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
-    ephi = np.exp(1j * phi)
-    ealpha = np.exp(1j * alpha)
-    u = np.empty((n, 2, 2), dtype=complex)
-    u[:, 0, 0] = ephi * c
-    u[:, 0, 1] = ealpha * s
-    u[:, 1, 0] = -s / ealpha
-    u[:, 1, 1] = c / ephi
-    v = (j[:, 0]).reshape(2, 2)  # J|00> as a 2x2 coefficient matrix
-    jconj = j.conj()
-    left = u @ v  # (n, 2, 2); row player applied to the carrier state
-    p1 = np.empty((n, n))
-    p2 = np.empty((n, n))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        states = np.einsum("iab,jcb->ijac", left[i0:i1], u).reshape(i1 - i0, n, 4)
-        amps = states @ jconj  # apply J^dag: amps_k = sum_l J^dag[k,l] s_l
-        w = amps.real**2 + amps.imag**2
-        p1[i0:i1] = w @ u1
-        p2[i0:i1] = w @ u2
-    return p1, p2
+    q = np.stack([c * np.cos(phi), c * np.sin(phi), s * np.cos(alpha), s * np.sin(alpha)], axis=1)
+    return q[:, _PAIRS[0]] * q[:, _PAIRS[1]]
+
+
+def _weights(j, u) -> np.ndarray:
+    """The 10x10 W with payoff f(q1)^T W f(q2) under entangler j and table u."""
+    j = np.asarray(j, dtype=complex)
+    # c[k, a, b] = <k| J^dag (B_a x B_b) J |00>, so A_k = sum_ab q1_a q2_b c[k, a, b]
+    c = np.einsum("lk,ablm,m->kab", j.conj(), _PRODUCTS, j[:, 0])
+    # payoff = sum_{a,c,b,d} q1_a q1_c q2_b q2_d t[a, c, b, d]; the imaginary
+    # parts cancel in the sum, and only the parts symmetric in (a, c) and
+    # in (b, d) reach it
+    t = np.einsum("k,kab,kcd->acbd", np.asarray(u, dtype=float), c, c.conj()).real
+    t = (t + t.transpose(1, 0, 2, 3)) / 2.0
+    t = (t + t.transpose(0, 1, 3, 2)) / 2.0
+    a, b = _PAIRS
+    return t[a, b][:, a, b] * np.outer(_PAIR_COUNT, _PAIR_COUNT)
+
+
+def payoff_block(angles1, angles2, j, u) -> np.ndarray:
+    """Payoffs under table u of every row strategy of angles1 against every one of angles2."""
+    return _features(angles1) @ _weights(j, u) @ _features(angles2).T
+
+
+def payoff_tables(angles, j, u1, u2):
+    """Full N x N payoff tables (P1, P2): row player 1's strategy, column player 2's."""
+    f = _features(angles)
+    return (f @ _weights(j, u1)) @ f.T, (f @ _weights(j, u2)) @ f.T
+
+
+def pure_ne_pairs(angles, j, u1, u2, tol=1e-9):
+    """Mutual-best-response pairs without materializing the full tables.
+
+    Two passes over row blocks: the first accumulates the row maxima of
+    player 2's table and the column maxima of player 1's table (the rows of
+    P1^T), the second keeps the pairs within tol of both maxima, evaluating
+    player 1's payoff only where player 2's reply qualifies. Returns 0-based
+    index pairs plus the payoffs at each pair, ordered lexicographically.
+    """
+    f = _features(angles)
+    n = f.shape[0]
+    w1 = _weights(j, u1)
+    g2 = _weights(j, u2) @ f.T
+    both = np.concatenate([g2, w1.T @ f.T], axis=1)
+    rowmax2 = np.empty(n)
+    colmax1 = np.empty(n)
+    for i0 in range(0, n, BLOCK_ROWS):
+        block = f[i0 : i0 + BLOCK_ROWS] @ both
+        rowmax2[i0 : i0 + BLOCK_ROWS] = block[:, :n].max(axis=1)
+        colmax1[i0 : i0 + BLOCK_ROWS] = block[:, n:].max(axis=1)
+    h1 = f @ w1
+    rows, cols, pay1, pay2 = [], [], [], []
+    for i0 in range(0, n, BLOCK_ROWS):
+        p2 = f[i0 : i0 + BLOCK_ROWS] @ g2
+        i, k = np.nonzero(p2 >= rowmax2[i0 : i0 + BLOCK_ROWS, None] - tol)
+        p1 = np.einsum("ij,ij->i", h1[i0 + i], f[k])
+        keep = p1 >= colmax1[k] - tol
+        i, k = i[keep], k[keep]
+        rows.append(i0 + i)
+        cols.append(k)
+        pay1.append(p1[keep])
+        pay2.append(p2[i, k])
+    pairs = list(zip(np.concatenate(rows).tolist(), np.concatenate(cols).tolist()))
+    return pairs, np.concatenate(pay1).tolist(), np.concatenate(pay2).tolist()

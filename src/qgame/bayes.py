@@ -3,7 +3,8 @@
 Player 2 is one of two types: with probability mu the harsh type (whose
 payoff table punishes mutual silence more), with probability 1-mu the mild
 type. Player 1 plays one strategy against both; each type best-responds to
-it. All payoffs use the maximally entangled closed-form amplitudes.
+it. The game is played under J1 at maximal entanglement: bayes_payoffs
+evaluates its closed-form amplitudes, the grid check the payoff kernel.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
+from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable, closed_form_sq_amplitudes
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
+from .search import TIE_TOL
 from .strategies import TWO_PI, StrategyAngles
 
 # Player 2 type I: the standard asymmetric-dilemma brother.
@@ -90,9 +94,26 @@ def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
 _G2I_STAR = StrategyAngles(0.0, 0.0, math.pi)
 _G2II_STAR = StrategyAngles(0.0, 0.0, 0.0)
 
+_J_MAX = build_entangler(EntanglerSpec("j1", math.pi / 2))
+_IDENTITY = np.zeros((1, 3))
+_ROUNDING = 1e-12  # payoffs equal up to rounding count as tied
+
+
+def _types(spec: BayesSpec):
+    return ((spec.mu, spec.game_2I, _G2I_STAR), (1.0 - spec.mu, spec.game_2II, _G2II_STAR))
+
+
+def _p1_row(spec: BayesSpec, angles: np.ndarray) -> np.ndarray:
+    """Player 1's mu-weighted payoff for each row of angles against the candidate replies."""
+    total = np.zeros(angles.shape[0])
+    for weight, game, reply in _types(spec):
+        reply_angles = np.array([reply.as_tuple()])
+        total += weight * _kernels.payoff_block(angles, reply_angles, _J_MAX, game.u1_array().reshape(4))[:, 0]
+    return total
+
 
 def p1_given_best_responses(mu: float, g1: StrategyAngles) -> float:
-    """Player 1's payoff against the candidate type replies, in closed form.
+    """Player 1's payoff against the candidate type replies of the built-in types.
 
     Both opponent types hold the strategies that best-respond to the
     identity; the resulting payoff surface over g1 decides whether the
@@ -101,14 +122,7 @@ def p1_given_best_responses(mu: float, g1: StrategyAngles) -> float:
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu out of range [0, 1]: {mu}")
-    phi, alpha, theta = g1.as_tuple()
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return (
-        -10.0 * (mu * (c * math.cos(phi)) ** 2 + (1 - mu) * (s * math.sin(alpha)) ** 2)
-        - (mu * (c * math.sin(phi)) ** 2 + (1 - mu) * (s * math.cos(alpha)) ** 2)
-        - 5.0 * (mu * (s * math.cos(alpha)) ** 2 + (1 - mu) * (c * math.sin(phi)) ** 2)
-    )
+    return float(_p1_row(BayesSpec(mu), np.array([g1.as_tuple()]))[0])
 
 
 def candidate_profile(g1: StrategyAngles) -> BayesProfile:
@@ -124,32 +138,42 @@ class BayesVerdict(NamedTuple):
     margin: float  # max_p1 - origin_p1
 
 
-def bayes_ne_check(mu: float, grid: MeshSpec) -> BayesVerdict:
+def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> BayesVerdict:
     """Grid test of whether the identity strategy is player 1's best reply.
 
     Maximizes player 1's payoff against the candidate type replies over the
-    mesh. Verdict "ne_at_origin" when the identity attains the grid maximum
-    within 1e-9 (the full profile is then an equilibrium), "no_ne" when
-    some grid strategy strictly exceeds it by more than 1e-9 (player 1
-    would deviate, and no other candidate survives the types' unique best
-    replies). Ties resolve to the lowest strategy index.
+    mesh, with the type tables of spec (the built-in types by default;
+    spec.mu must equal mu). Verdict "ne_at_origin" when the identity
+    attains the grid maximum within 1e-9 (the full profile is then an
+    equilibrium), "no_ne" when some grid strategy strictly exceeds it by
+    more than 1e-9 (player 1 would deviate, and no other candidate survives
+    the types' unique best replies). Ties resolve to the lowest strategy
+    index. Raises ValueError when a type's candidate reply is not its best
+    reply to the identity on the mesh, since the verdict then means nothing.
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu out of range [0, 1]: {mu}")
+    if spec is None:
+        spec = BayesSpec(mu)
+    elif spec.mu != mu:
+        raise ValueError(f"mu {mu} differs from the spec's mu {spec.mu}")
     angles = mesh_angle_array(grid)
-    phi, alpha, theta = angles[:, 0], angles[:, 1], angles[:, 2]
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    p1 = (
-        -10.0 * (mu * (c * np.cos(phi)) ** 2 + (1 - mu) * (s * np.sin(alpha)) ** 2)
-        - (mu * (c * np.sin(phi)) ** 2 + (1 - mu) * (s * np.cos(alpha)) ** 2)
-        - 5.0 * (mu * (s * np.cos(alpha)) ** 2 + (1 - mu) * (c * np.sin(phi)) ** 2)
-    )
+    for _, game, reply in _types(spec):
+        # the reply's payoff first, then every mesh strategy's
+        replies = np.vstack([reply.as_tuple(), angles])
+        p2 = _kernels.payoff_block(_IDENTITY, replies, _J_MAX, game.u2_array().reshape(4))[0]
+        if p2[0] < p2[1:].max() - TIE_TOL:
+            raise ValueError(
+                f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "
+                "response to the identity on the mesh"
+            )
+    p1 = _p1_row(spec, angles)
     origin = float(p1[0])  # index 1 is the theta=0 pole, the identity
-    k = int(np.argmax(p1))  # argmax takes the lowest index on ties
-    best = float(p1[k])
+    best = float(p1.max())
+    # the lowest index attaining the maximum, up to rounding
+    k = int(np.argmax(p1 >= best - _ROUNDING))
     margin = best - origin
-    verdict = "ne_at_origin" if margin <= 1e-9 else "no_ne"
+    verdict = "ne_at_origin" if margin <= TIE_TOL else "no_ne"
     return BayesVerdict(verdict, origin, best, index_to_angles(grid, k + 1), margin)
 
 

@@ -19,7 +19,7 @@ from .entanglers import EntanglerSpec
 from .games import (
     PRISONER_DILEMMA,
     GameFormatError,
-    GameTable,
+    _table_from_obj,
     final_state,
     mixed_payoff,
     MixedStrategy,
@@ -139,24 +139,49 @@ def cmd_sweep_beta(args) -> int:
     return 0
 
 
+_BAYES_SPEC_KEYS = {"mu", "game_2I", "game_2II"}
+
+
+def _load_bayes_spec(path: str, mu) -> BayesSpec:
+    """A BayesSpec from a JSON file {mu, game_2I, game_2II}; mu overrides the file's."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GameFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise GameFormatError(f"{path}: top level must be an object")
+    unknown = sorted(set(obj) - _BAYES_SPEC_KEYS)
+    if unknown:
+        raise GameFormatError(f"{path}: unknown fields {unknown}")
+    tables = {}
+    for key in ("game_2I", "game_2II"):
+        if key not in obj:
+            raise GameFormatError(f"{path}: missing field {key!r}")
+        table = obj[key]
+        extra = sorted(set(table) - {"name", "u1", "u2"}) if isinstance(table, dict) else []
+        if extra:
+            raise GameFormatError(f"{path}: {key}: unknown fields {extra}")
+        tables[key] = _table_from_obj(table, f"{path}: {key}")
+    mu = mu if mu is not None else obj.get("mu")
+    if mu is None:
+        raise ValueError("mu must come from --mu or the --spec file")
+    if isinstance(mu, bool) or not isinstance(mu, (int, float)):
+        raise GameFormatError(f"{path}: field 'mu' must be a number")
+    return BayesSpec(mu=float(mu), **tables)
+
+
 def cmd_bayes(args) -> int:
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        mu = args.mu if args.mu is not None else obj.get("mu")
-        if mu is None:
-            raise ValueError("mu must come from --mu or the --spec file")
-        BayesSpec(
-            mu=mu,
-            game_2I=GameTable(**obj["game_2I"]),
-            game_2II=GameTable(**obj["game_2II"]),
-        )  # validates the tables
+        spec = _load_bayes_spec(args.spec, args.mu)
+        mu = spec.mu
     else:
         if args.mu is None:
             raise ValueError("--mu is required")
         mu = args.mu
+        spec = None
     mesh = _parse_mesh(args.mesh)
-    verdict = bayes_ne_check(mu, mesh)
+    verdict = bayes_ne_check(mu, mesh, spec)
     _emit(
         {
             "mu": mu,

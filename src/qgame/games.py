@@ -3,6 +3,9 @@
 The protocol: the referee entangles |00> with J, each player applies an
 SU(2) strategy to their own qubit, the referee applies J^dag, and payoffs
 are the squared final amplitudes weighted by the classical payoff table.
+final_state evaluates the protocol with matrices; the closed forms here are
+reference formulas for J1 and J2. Mesh-wide payoff tables for any J come
+from the bilinear kernel in _kernels.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 Classical trit gates are the six 3x3 permutation matrices (the group S3).
 The two-qutrit entangler J(beta) = exp(i beta Z) is built from
 Z = X + X^T with X the tensor square of the three-cycle; its closed-form
-coefficients follow from Z^2 = Z + 2I. The Schur-lemma check shows no
-nontrivial entangler can commute with all classical gates: the commutant
-of {S12, S13} is scalar.
+coefficients follow from Z^2 = Z + 2I, and so does the maximally
+entangling angle 2*pi/9. commutant_is_scalar computes the dimension of the
+joint commutant of a set of gates, the executable form of Schur's lemma.
+For the transpositions {S12, S13} that commutant is two-dimensional,
+spanned by the identity and the all-ones matrix, because the permutation
+representation of S3 is reducible.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .linalg import tensor
 
@@ -79,16 +81,13 @@ def entangled_initial_state(beta: float) -> np.ndarray:
 def max_entangling_beta() -> float:
     """The smallest beta > 0 at which J(beta)|00> is maximally entangled.
 
-    Solves |exp(3 i beta) + 2| = |exp(3 i beta) - 1| (equal amplitude
-    magnitudes) on (0, pi/3); the root is 2*pi/9 where all three nonzero
+    The three nonzero amplitudes a, b, b have equal magnitude when
+    |exp(3 i beta) + 2| = |exp(3 i beta) - 1|. Squared, that reads
+    5 + 4 cos(3 beta) = 2 - 2 cos(3 beta), i.e. cos(3 beta) = -1/2, whose
+    smallest positive root is 3 beta = 2*pi/3: beta = 2*pi/9, where all three
     amplitudes have magnitude 1/sqrt(3).
     """
-
-    def gap(beta):
-        e3 = cmath.exp(3j * beta)
-        return abs(e3 + 2.0) - abs(e3 - 1.0)
-
-    return brentq(gap, 1e-9, math.pi / 3.0 - 1e-9, xtol=1e-15)
+    return 2.0 * math.pi / 9.0
 
 
 def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:

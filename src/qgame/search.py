@@ -42,16 +42,14 @@ class NeResult:
 
 
 def _tables_for(game: GameTable, spec_or_j, mesh: MeshSpec):
-    """Full payoff tables for a mesh, via closed form or operator protocol."""
-    angles = mesh_angle_array(mesh)
+    """Full payoff tables for a mesh under an EntanglerSpec or an explicit 4x4 J."""
+    if isinstance(spec_or_j, EntanglerSpec):
+        j = build_entangler(spec_or_j)
+    else:
+        j = np.asarray(spec_or_j, dtype=complex)
     u1 = game.u1_array().reshape(4)
     u2 = game.u2_array().reshape(4)
-    if isinstance(spec_or_j, EntanglerSpec):
-        if spec_or_j.family in ("j1", "identity"):
-            beta = spec_or_j.beta if spec_or_j.family == "j1" else 0.0
-            return _kernels.payoff_tables(angles, beta, u1, u2)
-        return _kernels.payoff_tables_matrix(angles, build_entangler(spec_or_j), u1, u2)
-    return _kernels.payoff_tables_matrix(angles, np.asarray(spec_or_j, dtype=complex), u1, u2)
+    return _kernels.payoff_tables(mesh_angle_array(mesh), j, u1, u2)
 
 
 def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: int):
@@ -85,28 +83,26 @@ def find_pure_ne(
 
     A pair (I1, I2) qualifies when I2 is within the tie tolerance of
     player 2's best reply to I1 and I1 of player 1's best reply to I2.
-    The default path evaluates the closed-form amplitudes through the
-    compiled kernels; use_matrix forces the explicit operator protocol for
-    cross-checking.
+    The default path streams the payoff kernel over row blocks; use_matrix
+    builds both full tables first and masks them, as a dense cross-check.
     """
-    angles = mesh_angle_array(mesh)
-    u1 = game.u1_array().reshape(4)
-    u2 = game.u2_array().reshape(4)
-    closed_form_ok = spec.family in ("j1", "identity") and not use_matrix
-    if closed_form_ok:
-        beta = spec.beta if spec.family == "j1" else 0.0
-        pairs, pay1, pay2 = _kernels.pure_ne_pairs(angles, beta, u1, u2, TIE_TOL)
-    else:
-        p1, p2 = _kernels.payoff_tables_matrix(angles, build_entangler(spec), u1, u2)
+    if use_matrix:
+        p1, p2 = _tables_for(game, spec, mesh)
         mask = (p2 >= p2.max(axis=1)[:, None] - TIE_TOL) & (p1 >= p1.max(axis=0)[None, :] - TIE_TOL)
         idx = np.argwhere(mask)
         pairs = [(int(i), int(j)) for i, j in idx]
         pay1 = [float(p1[i, j]) for i, j in idx]
         pay2 = [float(p2[i, j]) for i, j in idx]
+    else:
+        u1 = game.u1_array().reshape(4)
+        u2 = game.u2_array().reshape(4)
+        pairs, pay1, pay2 = _kernels.pure_ne_pairs(
+            mesh_angle_array(mesh), build_entangler(spec), u1, u2, TIE_TOL
+        )
     listed = tuple(
         (i + 1, j + 1, PayoffPair(a, b)) for (i, j), a, b in zip(pairs, pay1, pay2)
     )
-    beta = spec.beta if spec.family == "j1" else (0.0 if spec.family == "identity" else spec.beta)
+    beta = 0.0 if spec.family == "identity" else spec.beta
     return NeResult(beta=beta, found=bool(listed), pairs=listed)
 
 
@@ -134,9 +130,10 @@ def analytic_best_response(responder: int, form: str, g_opp: StrategyAngles) -> 
     exactly up to rounding for any opponent.
 
     Two angle maps reach each target (they differ by pi in both phase
-    angles and give strategy matrices of opposite sign). For responder 1
-    under "psi_plus" the map is chosen per input so that alternating best
-    replies return to the starting strategy after four steps.
+    angles and give strategy matrices of opposite sign). Under "psi_plus"
+    the map is chosen per input so that alternating best replies return to
+    the starting strategy after four steps, with the phase endpoints 0 and
+    2*pi kept apart wherever that is possible (see _psi_plus_reply1).
     """
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
@@ -153,19 +150,102 @@ def _raw_best_response(responder: int, form: str, opp_angles):
     phi, alpha, theta = opp_angles
     if form == "psi_plus":
         if responder == 2:
-            out = ((alpha - math.pi / 2) % TWO_PI, phi % TWO_PI, math.pi - theta)
-        else:
-            out = ((alpha - math.pi / 2) % TWO_PI, phi % TWO_PI, math.pi - theta)
-            if (alpha % math.pi) >= math.pi / 2:
-                out = ((out[0] + math.pi) % TWO_PI, (out[1] + math.pi) % TWO_PI, out[2])
-    elif form == "triplet":
+            return _psi_plus_reply2(phi, alpha, theta)
+        return _psi_plus_reply1(phi, alpha, theta)
+    if form == "triplet":
         if responder == 2:
-            out = ((math.pi / 2 - alpha) % TWO_PI, (math.pi / 2 - phi) % TWO_PI, math.pi - theta)
+            return ((math.pi / 2 - alpha) % TWO_PI, (math.pi / 2 - phi) % TWO_PI, math.pi - theta)
+        return ((phi - math.pi / 2) % TWO_PI, (alpha + math.pi / 2) % TWO_PI, theta)
+    raise ValueError(f"unknown closed form {form!r}")
+
+
+# The psi_plus replies shift both phases by multiples of pi/2. A phase at
+# an exact multiple k * pi/2 is tracked by k = 0..4, so that the endpoints
+# k = 0 and k = 4 (2*pi) stay distinct strategies.
+_QUARTER = math.pi / 2
+
+
+def _quarter(v: float):
+    k = round(v / _QUARTER)
+    return k if v == k * _QUARTER else None
+
+
+def _psi_plus_reply2(phi, alpha, theta):
+    """Player 2's reply (alpha - pi/2, phi); at alpha = 2*pi the other map.
+
+    Both maps send alpha = 0 and alpha = 2*pi to one phase, so using the
+    (alpha + pi/2, phi + pi) map at 2*pi keeps the two apart.
+    """
+    if _quarter(alpha) == 4:
+        return (_QUARTER, phi + math.pi if phi < math.pi else phi - math.pi, math.pi - theta)
+    return ((alpha - _QUARTER) % TWO_PI, phi, math.pi - theta)
+
+
+# Quarter-turn direction of the four-step cycle at a phase multiple k: the
+# pairs 0 <-> 3*pi/2 and pi/2 <-> 2*pi are each other's images, and pi is
+# left without a partner (see _psi_plus_reply1).
+_TURN = {0: -1, 1: -1, 3: 1, 4: 1}
+_TURNED = {-1: 3, 0: 4, 4: 0, 5: 1}
+
+
+def _turn(v, k, sign, landing=None):
+    if k is None:
+        return (v + sign * _QUARTER) % TWO_PI
+    k += sign
+    if k == 0 and landing is not None:
+        return landing
+    return _TURNED.get(k, k) * _QUARTER
+
+
+def _psi_plus_reply1(phi, alpha, theta):
+    """Player 1's reply, chosen so that the four-step cycle closes.
+
+    Player 1's reply to player 2's reply to g is g turned by a quarter in
+    both phases, (phi, alpha) +/- (pi/2, pi/2); the cycle closes when the
+    turn's direction alternates. Off the multiples of pi/2 the direction
+    follows phi: up when phi mod pi >= pi/2. At multiples of pi/2 it
+    follows _TURN, which keeps the endpoints 0 and 2*pi of either phase
+    apart. Two things cannot be kept, because the closed range [0, 2*pi]
+    has one more phase value than the circle: a phase of exactly pi (it
+    has no partner left), and two of the four corners (0 or 2*pi, 0 or
+    2*pi), which the quarter turn sends to (pi/2, pi/2) or
+    (3*pi/2, 3*pi/2) only. The corners kept are (0, 0) and (0, 2*pi);
+    (2*pi, 0) and (2*pi, 2*pi) return to them. A phase too small to
+    survive a shift by pi/2 acts as 0, so this keeps the near-corners
+    (tiny, 2*pi) too.
+    """
+    k_phi, k_alpha = _quarter(phi), _quarter(alpha)
+    if k_phi is None and k_alpha is None:
+        out = ((alpha - _QUARTER) % TWO_PI, phi, math.pi - theta)
+        if (alpha % math.pi) >= _QUARTER:
+            out = ((out[0] + math.pi) % TWO_PI, (out[1] + math.pi) % TWO_PI, out[2])
+        return out
+    # the strategy (g_phi, g_alpha) that player 2's reply (phi, alpha) answers
+    if k_phi == 1:
+        # player 2's other map, used at g_alpha = 2*pi; g_phi = pi went to 0, 0 and 2*pi to pi
+        if k_alpha is None:
+            g_phi = alpha + math.pi if alpha < math.pi else alpha - math.pi
         else:
-            out = ((phi - math.pi / 2) % TWO_PI, (alpha + math.pi / 2) % TWO_PI, theta)
+            g_phi = (k_alpha + 2) % 4 * _QUARTER
+        g_alpha = TWO_PI
+    elif k_phi == 3:
+        g_phi, g_alpha = alpha, 0.0
     else:
-        raise ValueError(f"unknown closed form {form!r}")
-    return out
+        g_phi, g_alpha = alpha, (phi + _QUARTER) % TWO_PI
+    k_gphi, k_galpha = _quarter(g_phi), _quarter(g_alpha)
+    if k_galpha in _TURN:
+        sign = _TURN[k_galpha]
+    elif k_gphi in _TURN:
+        sign = _TURN[k_gphi]
+    else:
+        sign = 1 if g_phi % math.pi >= _QUARTER else -1
+    # (pi/2, pi/2) is the image of the corner (0, 2*pi), which it turns back to
+    landing = 0.0 if (k_gphi, k_galpha) == (1, 1) else None
+    return (
+        _turn(g_phi, k_gphi, sign, landing),
+        _turn(g_alpha, k_galpha, sign),
+        math.pi - theta,
+    )
 
 
 def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: StrategyAngles) -> float:

@@ -18,7 +18,7 @@ from qgame.bayes import (
     classical_threshold_mu,
     p1_given_best_responses,
 )
-from qgame.games import closed_form_sq_amplitudes
+from qgame.games import GameTable, closed_form_sq_amplitudes
 from qgame.mesh import MeshSpec
 from qgame.strategies import StrategyAngles
 
@@ -123,6 +123,28 @@ class TestNeCheck:
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             bayes_ne_check(1.5, GRID)
+
+    def test_custom_tables_change_the_verdict(self):
+        # player 1 gains 5 whatever happens: the identity is a best reply
+        const = GameTable(name="const", u1=((5, 5), (5, 5)), u2=GAME_TYPE_I.u2)
+        const_ii = GameTable(name="const_II", u1=((5, 5), (5, 5)), u2=GAME_TYPE_II.u2)
+        assert bayes_ne_check(0.3, GRID).verdict == "no_ne"
+        v = bayes_ne_check(0.3, GRID, BayesSpec(0.3, const, const_ii))
+        assert v.verdict == "ne_at_origin"
+        assert abs(v.origin_p1 - 5.0) < 1e-12 and v.margin <= 1e-9
+
+    def test_builtin_spec_matches_default(self):
+        assert bayes_ne_check(0.4, GRID, BayesSpec(0.4)) == bayes_ne_check(0.4, GRID)
+
+    def test_spec_mu_must_match(self):
+        with pytest.raises(ValueError):
+            bayes_ne_check(0.3, GRID, BayesSpec(0.4))
+
+    def test_rejects_type_not_best_responding_at_candidate(self):
+        # type II given type I's table prefers to flip, not to stay
+        spec = BayesSpec(0.3, GAME_TYPE_I, GameTable("flipper", GAME_TYPE_II.u1, GAME_TYPE_I.u2))
+        with pytest.raises(ValueError, match="not a best response"):
+            bayes_ne_check(0.3, GRID, spec)
 
 
 def test_classical_threshold():

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from qgame.cli import main
+
+DATA = Path(__file__).resolve().parents[1] / "qbench" / "data"
 
 
 def run(capsys, *argv):
@@ -165,6 +168,44 @@ class TestBayes:
         code, out, _ = run(capsys, "bayes", "--spec", str(spec))
         obj = json.loads(out)
         assert code == 0 and obj["mu"] == 0.1 and obj["verdict"] == "ne_at_origin"
+
+
+    def test_spec_tables_are_used(self, capsys):
+        # u1 = 5 everywhere: player 1 cannot gain by leaving the identity
+        code, out, _ = run(capsys, "bayes", "--spec", str(DATA / "bayes_const_u1.json"))
+        obj = json.loads(out)
+        assert code == 0 and obj["mu"] == 0.3
+        assert obj["verdict"] == "ne_at_origin"
+        assert obj["origin_p1"] == pytest.approx(5.0, abs=1e-12)
+
+    def test_spec_unknown_key_exits_2(self, capsys):
+        code, _, err = run(capsys, "bayes", "--spec", str(DATA / "bayes_unknown_key.json"))
+        assert code == 2 and err.startswith("error:") and "bonus" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"mu": 0.1, "game_2I": {"name": "I", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}},
+            {"mu": 0.1, "game_2I": {"name": "I", "u1": [[0, 0], [0, 0]]}, "game_2II": {}},
+            {"mu": 0.1, "weight": 2, "game_2I": {}, "game_2II": {}},
+            {"mu": "high", "game_2I": {"name": "I", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]},
+             "game_2II": {"name": "II", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}},
+            [1, 2],
+        ],
+    )
+    def test_malformed_spec_exits_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "bayes", "--spec", str(path))
+        assert code == 2 and err.startswith("error:")
+
+    def test_spec_with_wrong_candidate_reply_exits_2(self, capsys, tmp_path):
+        # type II given type I's table flips in reply to the identity
+        table = {"name": "I", "u1": [[0, -10], [-1, -5]], "u2": [[-2, -1], [-10, -5]]}
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({"mu": 0.1, "game_2I": table, "game_2II": table}))
+        code, _, err = run(capsys, "bayes", "--spec", str(path))
+        assert code == 2 and "not a best response" in err
 
 
 class TestMixedDemo:

@@ -1,13 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgame import _kernels
 from qgame.entanglers import EntanglerSpec, build_entangler
-from qgame.games import DA_BROTHER, final_state, payoffs
+from qgame.games import DA_BROTHER, closed_form_amplitudes_partial, final_state, payoffs
 from qgame.mesh import MeshSpec, index_to_angles, mesh_angle_array
 from qgame.strategies import StrategyAngles
 
@@ -15,12 +14,42 @@ MESH = MeshSpec(5, 9, 9)
 U1 = DA_BROTHER.u1_array().reshape(4)
 U2 = DA_BROTHER.u2_array().reshape(4)
 
+angle_triples = st.tuples(
+    st.floats(0, 2 * math.pi),
+    st.floats(0, 2 * math.pi),
+    st.floats(0, math.pi),
+)
+betas = st.floats(0, math.pi / 2)
+payoff_tables_4 = st.lists(st.floats(-10, 10), min_size=4, max_size=4).map(np.array)
+
+
+def _random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+entanglers = st.one_of(
+    betas.map(lambda b: build_entangler(EntanglerSpec("j1", b))),
+    betas.map(lambda b: build_entangler(EntanglerSpec("j2", b))),
+    st.just(np.eye(4, dtype=complex)),
+    st.integers(0, 2**32 - 1).map(_random_unitary),
+)
+
+
+def _pair_payoffs(j, t1, t2, u1, u2):
+    """Kernel payoffs (P1, P2) of raw angle triple t1 against t2."""
+    p1, p2 = (
+        _kernels.payoff_block(np.array([t1]), np.array([t2]), j, u)[0, 0] for u in (u1, u2)
+    )
+    return p1, p2
+
 
 def test_payoff_tables_match_protocol_pointwise():
     angles = mesh_angle_array(MESH)
-    beta = 0.8
-    p1, p2 = _kernels.payoff_tables(angles, beta, U1, U2)
-    j = build_entangler(EntanglerSpec("j1", beta))
+    j = build_entangler(EntanglerSpec("j1", 0.8))
+    p1, p2 = _kernels.payoff_tables(angles, j, U1, U2)
     rng = np.random.default_rng(0)
     for _ in range(25):
         i, k = rng.integers(1, MESH.n_strategies + 1, size=2)
@@ -31,51 +60,81 @@ def test_payoff_tables_match_protocol_pointwise():
         assert abs(p2[i - 1, k - 1] - ref.p2) < 1e-12
 
 
-def test_backends_agree_on_tables():
-    angles = mesh_angle_array(MESH)
-    a1, a2 = _kernels.payoff_tables_numpy(angles, 0.6, U1, U2)
-    b1, b2 = _kernels.payoff_tables(angles, 0.6, U1, U2)
-    assert np.abs(a1 - b1).max() < 1e-12
-    assert np.abs(a2 - b2).max() < 1e-12
-
-
-def test_backends_agree_on_ne_pairs():
-    angles = mesh_angle_array(MESH)
-    for beta in (0.0, 0.6, 1.2, math.pi / 2):
-        ref = _kernels.pure_ne_pairs_numpy(angles, beta, U1, U2)
-        got = _kernels.pure_ne_pairs(angles, beta, U1, U2)
-        assert ref[0] == got[0]
-        assert np.allclose(ref[1], got[1], atol=1e-12)
-        assert np.allclose(ref[2], got[2], atol=1e-12)
-
-
 def test_matrix_path_matches_closed_form_kernels():
+    # the public J1 closed form of games.py against the kernel's tables
     angles = mesh_angle_array(MESH)
     beta = 0.9
-    j = build_entangler(EntanglerSpec("j1", beta))
-    a1, a2 = _kernels.payoff_tables(angles, beta, U1, U2)
-    b1, b2 = _kernels.payoff_tables_matrix(angles, j, U1, U2)
-    assert np.abs(a1 - b1).max() < 1e-10
-    assert np.abs(a2 - b2).max() < 1e-10
+    p1, p2 = _kernels.payoff_tables(angles, build_entangler(EntanglerSpec("j1", beta)), U1, U2)
+    rng = np.random.default_rng(1)
+    for i, k in rng.integers(0, MESH.n_strategies, size=(200, 2)):
+        w = np.abs(
+            closed_form_amplitudes_partial(
+                beta, StrategyAngles(*angles[i]), StrategyAngles(*angles[k])
+            )
+        ) ** 2
+        assert abs(p1[i, k] - w @ U1) < 1e-12
+        assert abs(p2[i, k] - w @ U2) < 1e-12
 
 
-def test_env_flag_disables_compiled_backend():
-    env = dict(os.environ, QGAME_NO_NUMBA="1")
-    code = (
-        "from qgame import _kernels; "
-        "assert not _kernels.USE_NUMBA; "
-        "import numpy as np; "
-        "from qgame.mesh import MeshSpec, mesh_angle_array; "
-        "from qgame.games import DA_BROTHER; "
-        "angles = mesh_angle_array(MeshSpec(5, 9, 9)); "
-        "u1 = DA_BROTHER.u1_array().reshape(4); "
-        "u2 = DA_BROTHER.u2_array().reshape(4); "
-        "pairs, _, _ = _kernels.pure_ne_pairs(angles, 0.8, u1, u2); "
-        "print(len(pairs))"
+@given(entanglers, angle_triples, angle_triples, payoff_tables_4, payoff_tables_4)
+@settings(max_examples=200, deadline=None)
+def test_table_entries_match_protocol(j, t1, t2, u1, u2):
+    g1, g2 = StrategyAngles(*t1), StrategyAngles(*t2)
+    w = np.abs(final_state(j, g1, g2)) ** 2
+    p1, p2 = _pair_payoffs(j, g1.as_tuple(), g2.as_tuple(), u1, u2)
+    assert abs(p1 - w @ u1) < 1e-12
+    assert abs(p2 - w @ u2) < 1e-12
+
+
+@given(entanglers, angle_triples, angle_triples, st.sampled_from(["phi", "alpha", "sign"]))
+@settings(max_examples=200, deadline=None)
+def test_payoffs_invariant_under_endpoint_and_sign(j, t1, t2, move):
+    phi, alpha, theta = t1
+    if move == "phi":
+        before, after = (0.0, alpha, theta), (2 * math.pi, alpha, theta)
+    elif move == "alpha":
+        before, after = (phi, 0.0, theta), (phi, 2 * math.pi, theta)
+    else:
+        # U(phi + pi, alpha + pi, theta) = -U(phi, alpha, theta)
+        before, after = t1, (phi + math.pi, alpha + math.pi, theta)
+    ref = _pair_payoffs(j, before, t2, U1, U2)
+    assert np.allclose(_pair_payoffs(j, after, t2, U1, U2), ref, rtol=0, atol=1e-12)
+    assert np.allclose(
+        _pair_payoffs(j, t2, after, U1, U2), _pair_payoffs(j, t2, before, U1, U2), rtol=0, atol=1e-12
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    ref = _kernels.pure_ne_pairs(mesh_angle_array(MESH), 0.8, U1, U2)
-    assert int(out.stdout.strip()) == len(ref[0])
+
+
+def _dense_ne_pairs(angles, j, u1, u2, tol=1e-9):
+    p1, p2 = _kernels.payoff_tables(angles, j, u1, u2)
+    mask = (p2 >= p2.max(axis=1)[:, None] - tol) & (p1 >= p1.max(axis=0)[None, :] - tol)
+    idx = np.argwhere(mask)
+    return [(int(i), int(k)) for i, k in idx], p1[mask], p2[mask]
+
+
+# integer tables: payoffs then tie exactly or differ far beyond rounding at
+# the tie tolerance, so the two paths cannot disagree on a near-tie
+integer_tables = st.lists(st.integers(-10, 10), min_size=4, max_size=4).map(np.array)
+
+
+@given(entanglers, integer_tables, integer_tables, st.sampled_from([(3, 5, 5), (4, 5, 9), (5, 9, 9)]))
+@settings(max_examples=60, deadline=None)
+def test_pure_ne_pairs_equal_dense_mask(j, u1, u2, mesh):
+    angles = mesh_angle_array(MeshSpec(*mesh))
+    pairs, pay1, pay2 = _kernels.pure_ne_pairs(angles, j, u1, u2)
+    ref_pairs, ref1, ref2 = _dense_ne_pairs(angles, j, u1, u2)
+    assert pairs == ref_pairs
+    assert np.allclose(pay1, ref1, rtol=0, atol=1e-12)
+    assert np.allclose(pay2, ref2, rtol=0, atol=1e-12)
+
+
+def test_pure_ne_pairs_spans_several_blocks():
+    # more strategies than one row block holds, so both passes cross blocks
+    angles = mesh_angle_array(MeshSpec(5, 9, 17))
+    assert angles.shape[0] > 2 * _kernels.BLOCK_ROWS
+    for beta in (0.0, 0.6, 1.2, math.pi / 2):
+        j = build_entangler(EntanglerSpec("j1", beta))
+        pairs, pay1, pay2 = _kernels.pure_ne_pairs(angles, j, U1, U2)
+        ref_pairs, ref1, ref2 = _dense_ne_pairs(angles, j, U1, U2)
+        assert pairs == ref_pairs
+        assert np.allclose(pay1, ref1, rtol=0, atol=1e-12)
+        assert np.allclose(pay2, ref2, rtol=0, atol=1e-12)

@@ -149,6 +149,41 @@ class TestAnalyticBestResponse:
         back = analytic_best_response(1, "psi_plus", g2p)
         assert np.allclose(back.as_tuple(), g1.as_tuple(), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (0.0, 0.0, 1.0),
+            (0.0, 2 * math.pi, 1.0),
+            (5e-324, 2 * math.pi, 1.0),
+            (0.7, 2 * math.pi, 1.0),
+            (2 * math.pi, 0.7, 1.0),
+            (0.7, 0.0, 1.0),
+            (0.0, 0.7, 1.0),
+            (4.0, 2 * math.pi, 2.5),
+            (2 * math.pi, 5.9, 0.2),
+            (math.nextafter(2 * math.pi, 0.0), 3.0, 1.0),
+            (3.0, math.nextafter(2 * math.pi, 0.0), 1.0),
+            (5e-324, 0.7, 1.0),
+        ],
+    )
+    def test_cycle_closes_at_phase_endpoints(self, triple):
+        # 0 and 2*pi are distinct strategies; the cycle keeps them apart
+        g1 = StrategyAngles(*triple)
+        g2, g1p, g2p = mixed_cycle(g1)
+        back = analytic_best_response(1, "psi_plus", g2p)
+        assert np.allclose(back.as_tuple(), g1.as_tuple(), rtol=0, atol=1e-9)
+
+    def test_corner_cycles_reach_only_two_strategies(self):
+        # A reply to a reply turns both phases by +/- pi/2, so the four corner
+        # starts (0 or 2*pi, 0 or 2*pi) reach only (pi/2, pi/2) or
+        # (3*pi/2, 3*pi/2) after two steps, and the rest of the cycle cannot
+        # tell more than two of them apart. (0, 0) and (0, 2*pi) close;
+        # (2*pi, 0) and (2*pi, 2*pi) cannot.
+        corners = [(p, a, 1.0) for p in (0.0, 2 * math.pi) for a in (0.0, 2 * math.pi)]
+        halfway = {mixed_cycle(StrategyAngles(*c))[1].as_tuple() for c in corners}
+        quarter = math.pi / 2
+        assert halfway == {(quarter, quarter, 1.0), (3 * quarter, 3 * quarter, 1.0)}
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             analytic_best_response(3, "psi_plus", StrategyAngles(0, 0, 0))
