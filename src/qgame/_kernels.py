@@ -13,8 +13,9 @@ from J and the payoff table, so the payoffs of N strategies against each
 other are the single matrix product F W_u F^T, for any 4x4 entangler J.
 
 The features are even in q, so U and -U give equal payoffs, and they agree
-to rounding at phi, alpha = 0 and 2*pi. Results are deterministic: every
-reduction is per row of a fixed block.
+to rounding at phi, alpha = 0 and 2*pi; mesh.mesh_classes groups the mesh
+strategies by these identities, and the search runs on one per class.
+Results are deterministic: every reduction is per row of a fixed block.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 USE_NUMBA = False  # there is no compiled backend; kept for tools that report the backend
 
 # Strategy rows per block of the streaming equilibrium search; one block of
-# both players' payoffs (BLOCK_ROWS x 2N doubles) stays in cache.
+# one player's payoffs (BLOCK_ROWS x N doubles) stays in cache.
 BLOCK_ROWS = 128
 
 # U = sum_a q_a _BASIS[a]
@@ -66,6 +67,11 @@ def payoff_block(angles1, angles2, j, u) -> np.ndarray:
     return _features(angles1) @ _weights(j, u) @ _features(angles2).T
 
 
+def pair_payoffs(angles1, angles2, j, u) -> np.ndarray:
+    """Payoffs under table u of row i of angles1 against row i of angles2, for each i."""
+    return np.einsum("ij,ij->i", _features(angles1) @ _weights(j, u), _features(angles2))
+
+
 def payoff_tables(angles, j, u1, u2):
     """Full N x N payoff tables (P1, P2): row player 1's strategy, column player 2's."""
     f = _features(angles)
@@ -75,28 +81,27 @@ def payoff_tables(angles, j, u1, u2):
 def pure_ne_pairs(angles, j, u1, u2, tol=1e-9):
     """Mutual-best-response pairs without materializing the full tables.
 
-    Two passes over row blocks: the first accumulates the row maxima of
-    player 2's table and the column maxima of player 1's table (the rows of
-    P1^T), the second keeps the pairs within tol of both maxima, evaluating
-    player 1's payoff only where player 2's reply qualifies. Returns 0-based
-    index pairs plus the payoffs at each pair, ordered lexicographically.
+    Two passes over row blocks: the first accumulates the column maxima of
+    player 1's table (the row maxima of P1^T), the second computes player
+    2's rows, keeps the replies within tol of each row's maximum and
+    evaluates player 1's payoff only at those pairs, keeping the ones within
+    tol of player 1's column maximum. Returns 0-based index pairs plus the
+    payoffs at each pair, ordered lexicographically.
     """
     f = _features(angles)
     n = f.shape[0]
     w1 = _weights(j, u1)
-    g2 = _weights(j, u2) @ f.T
-    both = np.concatenate([g2, w1.T @ f.T], axis=1)
-    rowmax2 = np.empty(n)
+    g1 = w1.T @ f.T
     colmax1 = np.empty(n)
     for i0 in range(0, n, BLOCK_ROWS):
-        block = f[i0 : i0 + BLOCK_ROWS] @ both
-        rowmax2[i0 : i0 + BLOCK_ROWS] = block[:, :n].max(axis=1)
-        colmax1[i0 : i0 + BLOCK_ROWS] = block[:, n:].max(axis=1)
+        colmax1[i0 : i0 + BLOCK_ROWS] = (f[i0 : i0 + BLOCK_ROWS] @ g1).max(axis=1)
+    g2 = _weights(j, u2) @ f.T
     h1 = f @ w1
     rows, cols, pay1, pay2 = [], [], [], []
     for i0 in range(0, n, BLOCK_ROWS):
         p2 = f[i0 : i0 + BLOCK_ROWS] @ g2
-        i, k = np.nonzero(p2 >= rowmax2[i0 : i0 + BLOCK_ROWS, None] - tol)
+        # flat indices are row-major, so the pairs come out in lexicographic order
+        i, k = np.divmod(np.flatnonzero(p2 >= p2.max(axis=1)[:, None] - tol), n)
         p1 = np.einsum("ij,ij->i", h1[i0 + i], f[k])
         keep = p1 >= colmax1[k] - tol
         i, k = i[keep], k[keep]

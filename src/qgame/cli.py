@@ -45,11 +45,25 @@ def _parse_angles(text: str) -> StrategyAngles:
     return StrategyAngles(*(float(p) for p in parts))
 
 
+# Largest mesh a command accepts. A search holds about 1.2 kB per strategy
+# (angles, features, kernel factors and one BLOCK_ROWS x N block of payoffs)
+# and its time grows as N^2: a (9, 81, 81) mesh, 45929 strategies, took 55 MB
+# and 2.4 s on 2 cores, so this size means about 120 MB and 12 s per search.
+MAX_MESH_STRATEGIES = 100_000
+
+
 def _parse_mesh(text: str) -> MeshSpec:
+    """A MeshSpec from 'Ntheta,Nphi,Nalpha', refused before any allocation when over budget."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'Ntheta,Nphi,Nalpha', got {text!r}")
-    return MeshSpec(*(int(p) for p in parts))
+    mesh = MeshSpec(*(int(p) for p in parts))
+    if mesh.n_strategies > MAX_MESH_STRATEGIES:
+        raise ValueError(
+            f"mesh {text} has {mesh.n_strategies} strategies, "
+            f"more than the {MAX_MESH_STRATEGIES} allowed"
+        )
+    return mesh
 
 
 def _entangler_spec(args) -> EntanglerSpec:

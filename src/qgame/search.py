@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ from .games import (
     closed_form_sq_amplitudes,
     payoffs,
 )
-from .mesh import MeshSpec, mesh_angle_array
+from .mesh import MeshSpec, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
 
 TIE_TOL = 1e-9
@@ -41,15 +42,64 @@ class NeResult:
         return self.pairs[0] if self.pairs else None
 
 
+def _entangler(spec_or_j) -> np.ndarray:
+    """The 4x4 J of an EntanglerSpec, or an explicit 4x4 J as a complex array."""
+    if isinstance(spec_or_j, EntanglerSpec):
+        return build_entangler(spec_or_j)
+    return np.asarray(spec_or_j, dtype=complex)
+
+
 def _tables_for(game: GameTable, spec_or_j, mesh: MeshSpec):
     """Full payoff tables for a mesh under an EntanglerSpec or an explicit 4x4 J."""
-    if isinstance(spec_or_j, EntanglerSpec):
-        j = build_entangler(spec_or_j)
-    else:
-        j = np.asarray(spec_or_j, dtype=complex)
     u1 = game.u1_array().reshape(4)
     u2 = game.u2_array().reshape(4)
-    return _kernels.payoff_tables(mesh_angle_array(mesh), j, u1, u2)
+    return _kernels.payoff_tables(mesh_angle_array(mesh), _entangler(spec_or_j), u1, u2)
+
+
+@dataclass(frozen=True)
+class _ClassLayout:
+    """A mesh's payoff classes as the search uses them.
+
+    angles holds every mesh strategy and rep_angles one per class (see
+    mesh_classes). Class c holds the 0-based indices
+    members[starts[c] : starts[c] + sizes[c]], ascending; labels[i] is the
+    1-based index i + 1 as a Python int, and member_labels the labels of
+    members in the same order.
+    """
+
+    angles: np.ndarray
+    rep_angles: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    inverse: np.ndarray
+    labels: list
+    member_labels: list
+
+
+@functools.lru_cache(maxsize=4)
+def _class_layout(mesh: MeshSpec) -> _ClassLayout:
+    """The class layout of a mesh, built once and shared by every search on that mesh.
+
+    A beta sweep searches one mesh many times. The labels are shared too, so
+    the results kept from many searches on one mesh hold one int per index.
+    """
+    angles = mesh_angle_array(mesh)
+    reps, inverse = mesh_classes(mesh)
+    members = np.argsort(inverse, kind="stable")
+    sizes = np.bincount(inverse)
+    labels = list(range(1, mesh.n_strategies + 1))
+    arrays = (angles, angles[reps], members, np.cumsum(sizes) - sizes, sizes, inverse)
+    for a in arrays:
+        a.setflags(write=False)
+    return _ClassLayout(*arrays, labels, [labels[m] for m in members.tolist()])
+
+
+def _expand(layout: _ClassLayout, classes):
+    """Positions in layout.members of every member of each listed class, class by class."""
+    counts = layout.sizes[classes]
+    first = np.repeat(layout.starts[classes] - (np.cumsum(counts) - counts), counts)
+    return first + np.arange(first.size)
 
 
 def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: int):
@@ -58,22 +108,32 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     Accepts either an EntanglerSpec or an explicit 4x4 unitary. Returns a
     list indexed by 1-based opponent strategy index; entry I is the set of
     1-based responder indices within the tie tolerance of the maximum
-    payoff. Entry 0 is unused.
+    payoff. Entry 0 is unused. Only the responder's payoffs are computed,
+    on one representative per payoff class of the mesh (mesh_classes), for
+    one block of opponent classes at a time.
     """
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
-    p1, p2 = _tables_for(game, spec_or_j, mesh)
-    n = p1.shape[0]
-    table = [set()]
-    if responder == 2:
-        cutoff = p2.max(axis=1) - TIE_TOL
-        for i in range(n):
-            table.append({int(j) + 1 for j in np.nonzero(p2[i] >= cutoff[i])[0]})
-    else:
-        cutoff = p1.max(axis=0) - TIE_TOL
-        for j in range(n):
-            table.append({int(i) + 1 for i in np.nonzero(p1[:, j] >= cutoff[j])[0]})
-    return table
+    layout = _class_layout(mesh)
+    j = _entangler(spec_or_j)
+    angles = layout.rep_angles
+    u = (game.u1_array() if responder == 1 else game.u2_array()).reshape(4)
+    opp, reply = [], []
+    for i0 in range(0, angles.shape[0], _kernels.BLOCK_ROWS):
+        block = angles[i0 : i0 + _kernels.BLOCK_ROWS]
+        if responder == 2:
+            pay = _kernels.payoff_block(block, angles, j, u)
+        else:
+            pay = _kernels.payoff_block(angles, block, j, u).T
+        o, r = np.nonzero(pay >= pay.max(axis=1)[:, None] - TIE_TOL)
+        opp.append(i0 + o)
+        reply.append(r)
+    opp, reply = np.concatenate(opp), np.concatenate(reply)
+    replies = [layout.member_labels[p] for p in _expand(layout, reply).tolist()]
+    # opp is ascending and every opponent class has a reply: a class's replies end where opp steps
+    ends = np.cumsum(layout.sizes[reply])[np.append(opp[1:] != opp[:-1], True)].tolist()
+    class_sets = [set(replies[a:b]) for a, b in zip([0] + ends, ends)]
+    return [set()] + [set(class_sets[c]) for c in layout.inverse.tolist()]
 
 
 def find_pure_ne(
@@ -83,24 +143,38 @@ def find_pure_ne(
 
     A pair (I1, I2) qualifies when I2 is within the tie tolerance of
     player 2's best reply to I1 and I1 of player 1's best reply to I2.
-    The default path streams the payoff kernel over row blocks; use_matrix
-    builds both full tables first and masks them, as a dense cross-check.
+    The default path streams the payoff kernel over row blocks of one
+    representative per payoff class of the mesh (mesh_classes), expands
+    each equilibrium of classes to every pair of member indices, and
+    evaluates the payoffs of each listed pair at its own mesh angles, so
+    pairs still lists every mesh index. use_matrix builds both full tables
+    of the whole mesh first and masks them, as a dense cross-check.
     """
+    u1 = game.u1_array().reshape(4)
+    u2 = game.u2_array().reshape(4)
     if use_matrix:
         p1, p2 = _tables_for(game, spec, mesh)
         mask = (p2 >= p2.max(axis=1)[:, None] - TIE_TOL) & (p1 >= p1.max(axis=0)[None, :] - TIE_TOL)
-        idx = np.argwhere(mask)
-        pairs = [(int(i), int(j)) for i, j in idx]
-        pay1 = [float(p1[i, j]) for i, j in idx]
-        pay2 = [float(p2[i, j]) for i, j in idx]
+        rows, cols = np.nonzero(mask)
+        pay1, pay2 = p1[rows, cols], p2[rows, cols]
+        labels = range(1, mesh.n_strategies + 1)
     else:
-        u1 = game.u1_array().reshape(4)
-        u2 = game.u2_array().reshape(4)
-        pairs, pay1, pay2 = _kernels.pure_ne_pairs(
-            mesh_angle_array(mesh), build_entangler(spec), u1, u2, TIE_TOL
-        )
+        j = build_entangler(spec)
+        layout = _class_layout(mesh)
+        pairs, _, _ = _kernels.pure_ne_pairs(layout.rep_angles, j, u1, u2, TIE_TOL)
+        a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        # every (member of a, member of b), then lexicographic order
+        sizes = layout.sizes
+        rows = np.repeat(layout.members[_expand(layout, a)], np.repeat(sizes[b], sizes[a]))
+        cols = layout.members[_expand(layout, np.repeat(b, sizes[a]))]
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        pay1 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u1)
+        pay2 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u2)
+        labels = layout.labels
     listed = tuple(
-        (i + 1, j + 1, PayoffPair(a, b)) for (i, j), a, b in zip(pairs, pay1, pay2)
+        (labels[i], labels[k], PayoffPair(x, y))
+        for i, k, x, y in zip(rows.tolist(), cols.tolist(), pay1.tolist(), pay2.tolist())
     )
     beta = 0.0 if spec.family == "identity" else spec.beta
     return NeResult(beta=beta, found=bool(listed), pairs=listed)

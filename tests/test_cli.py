@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from qgame import cli
 from qgame.cli import main
+from qgame.mesh import MeshSpec
 
 DATA = Path(__file__).resolve().parents[1] / "qbench" / "data"
 
@@ -84,6 +86,37 @@ class TestSearchNe:
             capsys, "search-ne", "--game", "da_brother", "--mesh", "1,1,1"
         )
         assert code == 2 and "error" in err
+
+
+class TestMeshBudget:
+    # arithmetic only: a refused mesh must fail before any array is allocated
+    @pytest.mark.parametrize("command", ["search-ne", "sweep-beta"])
+    def test_oversized_mesh_exits_2(self, capsys, monkeypatch, command):
+        def no_allocation(mesh):
+            raise AssertionError("mesh allocated")
+
+        monkeypatch.setattr("qgame.search.mesh_angle_array", no_allocation)
+        code, out, err = run(capsys, command, "--game", "da_brother", "--mesh", "1000,1000,1000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "998000002" in err
+
+    def test_oversized_bayes_mesh_exits_2(self, capsys):
+        code, _, err = run(capsys, "bayes", "--mu", "0.1", "--mesh", "1000,1000,1000")
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text", ["9,17,17", "9,13,13", "9,21,21", "5,9,9", "3,5,5", "9,33,33"]
+    )
+    def test_default_and_benchmark_meshes_accepted(self, text):
+        mesh = cli._parse_mesh(text)
+        assert mesh.n_strategies <= cli.MAX_MESH_STRATEGIES
+
+    def test_budget_boundary(self):
+        # (n_theta - 2) * 100 * 100 + 2 strategies
+        assert MeshSpec(12, 100, 100).n_strategies == 100_002 > cli.MAX_MESH_STRATEGIES
+        with pytest.raises(ValueError):
+            cli._parse_mesh("12,100,100")
+        assert cli._parse_mesh("11,100,100").n_strategies == 90_002
 
 
 class TestSweepBeta:

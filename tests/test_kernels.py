@@ -138,3 +138,14 @@ def test_pure_ne_pairs_spans_several_blocks():
         assert pairs == ref_pairs
         assert np.allclose(pay1, ref1, rtol=0, atol=1e-12)
         assert np.allclose(pay2, ref2, rtol=0, atol=1e-12)
+
+
+@given(entanglers, payoff_tables_4, st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_pair_payoffs_are_the_diagonal_of_the_block(j, u, seed):
+    rng = np.random.default_rng(seed)
+    angles1 = rng.uniform(0, 2 * math.pi, size=(7, 3))
+    angles2 = rng.uniform(0, 2 * math.pi, size=(7, 3))
+    block = _kernels.payoff_block(angles1, angles2, j, u)
+    pairs = _kernels.pair_payoffs(angles1, angles2, j, u)
+    assert np.allclose(pairs, np.diag(block), rtol=0, atol=1e-12)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
+from qgame._kernels import _features
+from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array, mesh_classes
 from qgame.strategies import StrategyAngles
 
 mesh_specs = st.builds(
@@ -92,3 +93,45 @@ class TestMeshAngleArray:
         assert arr.shape == (mesh.n_strategies, 3)
         assert arr[:, 2].min() >= 0 and arr[:, 2].max() <= math.pi
         assert arr[:, 0].max() <= 2 * math.pi and arr[:, 1].max() <= 2 * math.pi
+
+
+class TestMeshClasses:
+    @pytest.mark.parametrize(
+        "dims, count",
+        [
+            ((9, 13, 13), 506),
+            ((9, 17, 17), 898),
+            ((9, 21, 21), 1402),
+            ((5, 1, 9), 26),  # one phi value: no -U partner
+            ((5, 2, 3), 8),  # phi in {0, 2*pi}: one phase value
+            ((4, 4, 6), 32),  # odd step counts: no -U partner
+        ],
+    )
+    def test_class_counts(self, dims, count):
+        reps, inverse = mesh_classes(MeshSpec(*dims))
+        assert reps.size == count
+        assert inverse.shape == (MeshSpec(*dims).n_strategies,)
+        assert inverse.min() == 0 and inverse.max() == count - 1
+
+    @given(mesh_specs)
+    @settings(max_examples=100, deadline=None)
+    def test_members_share_their_representatives_features(self, mesh):
+        reps, inverse = mesh_classes(mesh)
+        f = _features(mesh_angle_array(mesh))
+        assert np.abs(f - f[reps[inverse]]).max() <= 1e-15
+
+    @given(mesh_specs)
+    @settings(max_examples=100, deadline=None)
+    def test_classes_are_the_distinct_features(self, mesh):
+        reps, _ = mesh_classes(mesh)
+        f = _features(mesh_angle_array(mesh))
+        assert reps.size == len(np.unique(np.round(f, 10), axis=0))
+
+    @given(mesh_specs)
+    @settings(max_examples=100, deadline=None)
+    def test_representative_is_lowest_member(self, mesh):
+        reps, inverse = mesh_classes(mesh)
+        assert np.array_equal(inverse[reps], np.arange(reps.size))
+        lowest = np.full(reps.size, mesh.n_strategies)
+        np.minimum.at(lowest, inverse, np.arange(mesh.n_strategies))
+        assert np.array_equal(reps, lowest)

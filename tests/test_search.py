@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame.entanglers import EntanglerSpec
+from qgame import _kernels
+from qgame.entanglers import EntanglerSpec, build_entangler
 from qgame.games import (
     DA_BROTHER,
     PRISONER_DILEMMA,
     GameTable,
     closed_form_sq_amplitudes,
 )
-from qgame.mesh import MeshSpec, angles_to_index, index_to_angles
+from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from qgame.search import (
+    TIE_TOL,
     analytic_best_response,
     best_response_table,
     find_pure_ne,
@@ -70,6 +72,69 @@ class TestFindPureNe:
         result = find_pure_ne(DA_BROTHER, EntanglerSpec("j1", 0.8), SMALL)
         keys = [p[:2] for p in result.pairs]
         assert keys == sorted(keys)
+
+
+small_meshes = st.builds(
+    MeshSpec, n_theta=st.integers(3, 6), n_phi=st.integers(1, 9), n_alpha=st.integers(1, 9)
+)
+entangler_specs = st.one_of(
+    st.floats(0, math.pi / 2).map(lambda b: EntanglerSpec("j1", b)),
+    st.floats(0, math.pi / 2).map(lambda b: EntanglerSpec("j2", b)),
+    st.just(EntanglerSpec("identity")),
+)
+# integer tables, so that no payoff sits within rounding of the tie tolerance
+integer_games = st.tuples(
+    st.lists(st.integers(-10, 10), min_size=4, max_size=4),
+    st.lists(st.integers(-10, 10), min_size=4, max_size=4),
+).map(lambda t: GameTable(name="drawn", u1=(t[0][:2], t[0][2:]), u2=(t[1][:2], t[1][2:])))
+
+
+class TestSearchOnPayoffClasses:
+    """The default search runs on one strategy per payoff class and lists every mesh index."""
+
+    @given(integer_games, entangler_specs, small_meshes)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_search(self, game, spec, mesh):
+        got = find_pure_ne(game, spec, mesh)
+        ref = find_pure_ne(game, spec, mesh, use_matrix=True)
+        assert [p[:2] for p in got.pairs] == [p[:2] for p in ref.pairs]
+        for a, b in zip(got.pairs, ref.pairs):
+            assert abs(a[2].p1 - b[2].p1) <= 1e-12 and abs(a[2].p2 - b[2].p2) <= 1e-12
+
+    @given(integer_games, entangler_specs, small_meshes, st.sampled_from([1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_best_response_table_matches_dense_argmax(self, game, spec, mesh, responder):
+        p1, p2 = _kernels.payoff_tables(
+            mesh_angle_array(mesh),
+            build_entangler(spec),
+            game.u1_array().reshape(4),
+            game.u2_array().reshape(4),
+        )
+        # rows: the opponent's strategy; columns: the responder's
+        pay = p2 if responder == 2 else p1.T
+        ref = [set()] + [
+            {int(k) + 1 for k in np.flatnonzero(row >= row.max() - TIE_TOL)} for row in pay
+        ]
+        assert best_response_table(game, spec, mesh, responder) == ref
+
+    def test_repeated_searches_share_index_ints(self):
+        # results kept from many searches on one mesh hold one int per index
+        mesh = MeshSpec(9, 13, 13)
+        a = find_pure_ne(DA_BROTHER, EntanglerSpec("j1", 0.9), mesh)
+        b = find_pure_ne(DA_BROTHER, EntanglerSpec("j1", 0.9), mesh)
+        assert a == b and len(a.pairs) > 0 and a.pairs[-1][0] > 256
+        assert all(p[0] is q[0] and p[1] is q[1] for p, q in zip(a.pairs, b.pairs))
+        t1 = best_response_table(DA_BROTHER, EntanglerSpec("j1", 0.9), mesh, 2)
+        t2 = best_response_table(DA_BROTHER, EntanglerSpec("j1", 1.1), mesh, 2)
+        # ints above 256 are not cached by Python itself
+        big1 = {id(i) for s in t1 for i in s if i > 256}
+        big2 = {id(i) for s in t2 for i in s if i > 256}
+        assert big1 and big1 & big2
+
+    def test_entries_are_distinct_sets(self):
+        # members of one payoff class get equal replies, each in its own set
+        table = best_response_table(DA_BROTHER, EntanglerSpec("j1", 0.8), SMALL, 2)
+        assert len({id(s) for s in table}) == len(table)
 
 
 class TestBestResponseTable:
