@@ -85,8 +85,8 @@ def pure_ne_pairs(angles, j, u1, u2, tol=1e-9):
     player 1's table (the row maxima of P1^T), the second computes player
     2's rows, keeps the replies within tol of each row's maximum and
     evaluates player 1's payoff only at those pairs, keeping the ones within
-    tol of player 1's column maximum. Returns 0-based index pairs plus the
-    payoffs at each pair, ordered lexicographically.
+    tol of player 1's column maximum. Returns the pairs as two 0-based index
+    arrays (rows, cols), ordered lexicographically.
     """
     f = _features(angles)
     n = f.shape[0]
@@ -97,17 +97,12 @@ def pure_ne_pairs(angles, j, u1, u2, tol=1e-9):
         colmax1[i0 : i0 + BLOCK_ROWS] = (f[i0 : i0 + BLOCK_ROWS] @ g1).max(axis=1)
     g2 = _weights(j, u2) @ f.T
     h1 = f @ w1
-    rows, cols, pay1, pay2 = [], [], [], []
+    rows, cols = [], []
     for i0 in range(0, n, BLOCK_ROWS):
         p2 = f[i0 : i0 + BLOCK_ROWS] @ g2
         # flat indices are row-major, so the pairs come out in lexicographic order
         i, k = np.divmod(np.flatnonzero(p2 >= p2.max(axis=1)[:, None] - tol), n)
-        p1 = np.einsum("ij,ij->i", h1[i0 + i], f[k])
-        keep = p1 >= colmax1[k] - tol
-        i, k = i[keep], k[keep]
-        rows.append(i0 + i)
-        cols.append(k)
-        pay1.append(p1[keep])
-        pay2.append(p2[i, k])
-    pairs = list(zip(np.concatenate(rows).tolist(), np.concatenate(cols).tolist()))
-    return pairs, np.concatenate(pay1).tolist(), np.concatenate(pay2).tolist()
+        keep = np.einsum("ij,ij->i", h1[i0 + i], f[k]) >= colmax1[k] - tol
+        rows.append(i0 + i[keep])
+        cols.append(k[keep])
+    return np.concatenate(rows), np.concatenate(cols)

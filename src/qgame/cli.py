@@ -66,6 +66,12 @@ def _parse_mesh(text: str) -> MeshSpec:
     return mesh
 
 
+# Largest --beta-steps sweep-beta accepts. A sweep runs one search per step:
+# on the default (9, 17, 17) mesh a step took about 10 ms on 2 cores, so this
+# many steps take about 100 s.
+MAX_BETA_STEPS = 10_000
+
+
 def _entangler_spec(args) -> EntanglerSpec:
     family = {"j1": "j1", "j2": "j2", "none": "identity"}[args.entangler]
     beta = args.beta if family != "identity" else 0.0
@@ -122,6 +128,8 @@ def cmd_search_ne(args) -> int:
 def cmd_sweep_beta(args) -> int:
     game = resolve_game(args.game)
     mesh = _parse_mesh(args.mesh)
+    if args.beta_steps > MAX_BETA_STEPS:
+        raise ValueError(f"--beta-steps {args.beta_steps} is more than the {MAX_BETA_STEPS} allowed")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     results = sweep_beta(game, "j1", mesh, betas)
     if args.format == "json":
@@ -232,6 +240,8 @@ def cmd_qutrit(args) -> int:
     beta = max_entangling_beta() if args.find_max else args.beta
     if beta is None:
         raise ValueError("provide --beta or --find-max")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     a, b = _entangler_coeffs(beta)
     amps = entangled_initial_state(beta)
     _emit(

@@ -111,17 +111,12 @@ def closed_form_sq_amplitudes(
     form="psi_plus": the entangled carrier state is (|00>+i|11>)/sqrt(2)
     (the J1 protocol at beta=pi/2); form="triplet": the carrier is
     (|01>+|10>)/sqrt(2) (the J2 protocol). Both match the direct matrix
-    computation to machine precision.
+    computation to machine precision. They are reference formulas: the
+    search and no_psne_certificate compute payoffs with the kernel in
+    _kernels, and these check it (verify, tests).
     """
-    return _closed_form_sq_raw(form, g1.as_tuple(), g2.as_tuple())
-
-
-def _closed_form_sq_raw(form, angles1, angles2):
-    """closed_form_sq_amplitudes on raw angle triples, without the pole
-    canonicalization applied by StrategyAngles (phases matter at the poles:
-    e.g. theta=0 with phi=pi/2 is the diag(i, -i) strategy)."""
-    p1, a1, t1 = angles1
-    p2, a2, t2 = angles2
+    p1, a1, t1 = g1.as_tuple()
+    p2, a2, t2 = g2.as_tuple()
     c1, s1 = math.cos(t1 / 2), math.sin(t1 / 2)
     c2, s2 = math.cos(t2 / 2), math.sin(t2 / 2)
     if form == "psi_plus":

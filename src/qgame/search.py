@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -10,14 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
-from .games import (
-    PRISONER_DILEMMA,
-    GameTable,
-    PayoffPair,
-    _closed_form_sq_raw,
-    closed_form_sq_amplitudes,
-    payoffs,
-)
+from .games import PRISONER_DILEMMA, GameTable, PayoffPair, closed_form_sq_amplitudes
 from .mesh import MeshSpec, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
 
@@ -49,57 +43,39 @@ def _entangler(spec_or_j) -> np.ndarray:
     return np.asarray(spec_or_j, dtype=complex)
 
 
-def _tables_for(game: GameTable, spec_or_j, mesh: MeshSpec):
-    """Full payoff tables for a mesh under an EntanglerSpec or an explicit 4x4 J."""
-    u1 = game.u1_array().reshape(4)
-    u2 = game.u2_array().reshape(4)
-    return _kernels.payoff_tables(mesh_angle_array(mesh), _entangler(spec_or_j), u1, u2)
-
-
 @dataclass(frozen=True)
 class _ClassLayout:
     """A mesh's payoff classes as the search uses them.
 
     angles holds every mesh strategy and rep_angles one per class (see
-    mesh_classes). Class c holds the 0-based indices
-    members[starts[c] : starts[c] + sizes[c]], ascending; labels[i] is the
-    1-based index i + 1 as a Python int, and member_labels the labels of
-    members in the same order.
+    mesh_classes). members[c] is the ascending list of 1-based indices of
+    class c, and classes[i] the class of 0-based index i. Each index is one
+    Python int, shared by every result built from the layout.
     """
 
     angles: np.ndarray
     rep_angles: np.ndarray
-    members: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    inverse: np.ndarray
-    labels: list
-    member_labels: list
+    members: list
+    classes: list
 
 
 @functools.lru_cache(maxsize=4)
 def _class_layout(mesh: MeshSpec) -> _ClassLayout:
     """The class layout of a mesh, built once and shared by every search on that mesh.
 
-    A beta sweep searches one mesh many times. The labels are shared too, so
-    the results kept from many searches on one mesh hold one int per index.
+    A beta sweep searches one mesh many times, and the results kept from
+    those searches hold one int per index.
     """
     angles = mesh_angle_array(mesh)
     reps, inverse = mesh_classes(mesh)
-    members = np.argsort(inverse, kind="stable")
-    sizes = np.bincount(inverse)
-    labels = list(range(1, mesh.n_strategies + 1))
-    arrays = (angles, angles[reps], members, np.cumsum(sizes) - sizes, sizes, inverse)
-    for a in arrays:
-        a.setflags(write=False)
-    return _ClassLayout(*arrays, labels, [labels[m] for m in members.tolist()])
-
-
-def _expand(layout: _ClassLayout, classes):
-    """Positions in layout.members of every member of each listed class, class by class."""
-    counts = layout.sizes[classes]
-    first = np.repeat(layout.starts[classes] - (np.cumsum(counts) - counts), counts)
-    return first + np.arange(first.size)
+    classes = inverse.tolist()
+    members = [[] for _ in range(reps.size)]
+    for label, c in enumerate(classes, 1):
+        members[c].append(label)
+    rep_angles = angles[reps]
+    angles.setflags(write=False)
+    rep_angles.setflags(write=False)
+    return _ClassLayout(angles, rep_angles, members, classes)
 
 
 def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: int):
@@ -118,22 +94,17 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     j = _entangler(spec_or_j)
     angles = layout.rep_angles
     u = (game.u1_array() if responder == 1 else game.u2_array()).reshape(4)
-    opp, reply = [], []
+    class_sets = [set() for _ in layout.members]
     for i0 in range(0, angles.shape[0], _kernels.BLOCK_ROWS):
         block = angles[i0 : i0 + _kernels.BLOCK_ROWS]
         if responder == 2:
             pay = _kernels.payoff_block(block, angles, j, u)
         else:
             pay = _kernels.payoff_block(angles, block, j, u).T
-        o, r = np.nonzero(pay >= pay.max(axis=1)[:, None] - TIE_TOL)
-        opp.append(i0 + o)
-        reply.append(r)
-    opp, reply = np.concatenate(opp), np.concatenate(reply)
-    replies = [layout.member_labels[p] for p in _expand(layout, reply).tolist()]
-    # opp is ascending and every opponent class has a reply: a class's replies end where opp steps
-    ends = np.cumsum(layout.sizes[reply])[np.append(opp[1:] != opp[:-1], True)].tolist()
-    class_sets = [set(replies[a:b]) for a, b in zip([0] + ends, ends)]
-    return [set()] + [set(class_sets[c]) for c in layout.inverse.tolist()]
+        opp, reply = np.nonzero(pay >= pay.max(axis=1)[:, None] - TIE_TOL)
+        for o, r in zip((i0 + opp).tolist(), reply.tolist()):
+            class_sets[o].update(layout.members[r])
+    return [set()] + [set(class_sets[c]) for c in layout.classes]
 
 
 def find_pure_ne(
@@ -152,29 +123,26 @@ def find_pure_ne(
     """
     u1 = game.u1_array().reshape(4)
     u2 = game.u2_array().reshape(4)
+    j = build_entangler(spec)
     if use_matrix:
-        p1, p2 = _tables_for(game, spec, mesh)
+        p1, p2 = _kernels.payoff_tables(mesh_angle_array(mesh), j, u1, u2)
         mask = (p2 >= p2.max(axis=1)[:, None] - TIE_TOL) & (p1 >= p1.max(axis=0)[None, :] - TIE_TOL)
         rows, cols = np.nonzero(mask)
+        pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
         pay1, pay2 = p1[rows, cols], p2[rows, cols]
-        labels = range(1, mesh.n_strategies + 1)
     else:
-        j = build_entangler(spec)
         layout = _class_layout(mesh)
-        pairs, _, _ = _kernels.pure_ne_pairs(layout.rep_angles, j, u1, u2, TIE_TOL)
-        a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        # every (member of a, member of b), then lexicographic order
-        sizes = layout.sizes
-        rows = np.repeat(layout.members[_expand(layout, a)], np.repeat(sizes[b], sizes[a]))
-        cols = layout.members[_expand(layout, np.repeat(b, sizes[a]))]
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
+        members = layout.members
+        a, b = _kernels.pure_ne_pairs(layout.rep_angles, j, u1, u2, TIE_TOL)
+        pairs = sorted(
+            (i, k) for c, d in zip(a.tolist(), b.tolist()) for i in members[c] for k in members[d]
+        )
+        flat = itertools.chain.from_iterable(pairs)
+        rows, cols = np.fromiter(flat, np.intp, 2 * len(pairs)).reshape(-1, 2).T - 1
         pay1 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u1)
         pay2 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u2)
-        labels = layout.labels
     listed = tuple(
-        (labels[i], labels[k], PayoffPair(x, y))
-        for i, k, x, y in zip(rows.tolist(), cols.tolist(), pay1.tolist(), pay2.tolist())
+        (i, k, PayoffPair(x, y)) for (i, k), x, y in zip(pairs, pay1.tolist(), pay2.tolist())
     )
     beta = 0.0 if spec.family == "identity" else spec.beta
     return NeResult(beta=beta, found=bool(listed), pairs=listed)
@@ -328,6 +296,11 @@ def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: 
     return closed_form_sq_amplitudes(form, g_resp, g_opp)[2]
 
 
+# The entangler whose maximal entanglement each closed form describes
+# (see closed_form_sq_amplitudes).
+_CERTIFICATE_FAMILY = {"psi_plus": "j1", "triplet": "j2"}
+
+
 def no_psne_certificate(
     form: str, samples: int, game: GameTable = PRISONER_DILEMMA, seed: int = 0
 ) -> bool:
@@ -335,8 +308,9 @@ def no_psne_certificate(
 
     Samples strategy pairs (always including the classical corner pairs)
     and checks that at every pair at least one player's analytic best
-    response strictly improves that player's payoff. Replies are evaluated
-    with their raw angles, since the pole canonicalization of
+    response strictly improves that player's payoff. Payoffs come from the
+    payoff kernel under J1(pi/2) for "psi_plus" and J2(pi/2) for
+    "triplet", evaluated on the raw angles: the pole canonicalization of
     StrategyAngles would discard a phase the improvement may need. For a
     prisoner-dilemma-type table the improvement always exists because the
     two response conditions (full squared amplitude on |01> versus on
@@ -345,23 +319,23 @@ def no_psne_certificate(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if form not in _CERTIFICATE_FAMILY:
+        raise ValueError(f"unknown closed form {form!r}")
     rng = np.random.default_rng(seed)
-    pole0 = (0.0, 0.0, 0.0)
-    pole1 = (0.0, 0.0, math.pi)
-    pairs = [(pole0, pole0), (pole0, pole1), (pole1, pole0), (pole1, pole1)]
-    for _ in range(samples):
-        g1 = (rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(0, math.pi))
-        g2 = (rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(0, math.pi))
-        pairs.append((g1, g2))
-    for t1, t2 in pairs:
-        current = payoffs(np.sqrt(_closed_form_sq_raw(form, t1, t2)), game)
-        reply2 = _raw_best_response(2, form, t1)
-        improved2 = payoffs(np.sqrt(_closed_form_sq_raw(form, t1, reply2)), game).p2
-        reply1 = _raw_best_response(1, form, t2)
-        improved1 = payoffs(np.sqrt(_closed_form_sq_raw(form, reply1, t2)), game).p1
-        if improved2 <= current.p2 + 1e-12 and improved1 <= current.p1 + 1e-12:
-            return False
-    return True
+    # rows (g1, g2): the corner pairs, then samples drawn in the order
+    # phi1, alpha1, theta1, phi2, alpha2, theta2
+    corners = [(0.0, 0.0, t1, 0.0, 0.0, t2) for t1 in (0.0, math.pi) for t2 in (0.0, math.pi)]
+    high = (TWO_PI, TWO_PI, math.pi) * 2
+    pairs = np.vstack([corners, rng.uniform(0.0, high, size=(samples, 6))])
+    g1, g2 = pairs[:, :3], pairs[:, 3:]
+    reply1 = np.array([_raw_best_response(1, form, g) for g in g2.tolist()])
+    reply2 = np.array([_raw_best_response(2, form, g) for g in g1.tolist()])
+    j = build_entangler(EntanglerSpec(_CERTIFICATE_FAMILY[form], math.pi / 2))
+    u1 = game.u1_array().reshape(4)
+    u2 = game.u2_array().reshape(4)
+    improves1 = _kernels.pair_payoffs(reply1, g2, j, u1) > _kernels.pair_payoffs(g1, g2, j, u1) + 1e-12
+    improves2 = _kernels.pair_payoffs(g1, reply2, j, u2) > _kernels.pair_payoffs(g1, g2, j, u2) + 1e-12
+    return bool(np.all(improves1 | improves2))
 
 
 def mixed_cycle(g1: StrategyAngles):

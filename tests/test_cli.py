@@ -119,6 +119,30 @@ class TestMeshBudget:
         assert cli._parse_mesh("11,100,100").n_strategies == 90_002
 
 
+class TestBetaStepBudget:
+    # a refused step count must fail before the beta grid is allocated
+    @pytest.mark.parametrize("steps", [10**12, cli.MAX_BETA_STEPS + 1])
+    def test_oversized_step_count_exits_2(self, capsys, monkeypatch, steps):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("beta grid allocated")
+
+        monkeypatch.setattr("qgame.cli.sweep_beta", unreachable)
+        monkeypatch.setattr("numpy.linspace", unreachable)
+        code, out, err = run(
+            capsys, "sweep-beta", "--game", "da_brother", "--mesh", "3,3,3", "--beta-steps", str(steps)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(steps) in err
+
+    @pytest.mark.parametrize("steps", [32, 801, cli.MAX_BETA_STEPS])
+    def test_accepted_step_counts_reach_the_sweep(self, capsys, monkeypatch, steps):
+        monkeypatch.setattr("qgame.cli.sweep_beta", lambda game, family, mesh, betas: [])
+        code, _, _ = run(
+            capsys, "sweep-beta", "--game", "da_brother", "--mesh", "3,3,3", "--beta-steps", str(steps)
+        )
+        assert code == 0
+
+
 class TestSweepBeta:
     def test_csv_shape_and_summary(self, capsys):
         code, out, _ = run(
@@ -266,6 +290,13 @@ class TestQutrit:
     def test_missing_beta_exits_2(self, capsys):
         code, _, err = run(capsys, "qutrit-entangler")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+    def test_non_finite_beta_exits_2(self, capsys, beta):
+        # Infinity and NaN are not JSON, so they must not reach the output
+        code, out, err = run(capsys, "qutrit-entangler", f"--beta={beta}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
 
 
 class TestVerify:

@@ -27,6 +27,8 @@ from qgame.search import (
 from qgame.strategies import StrategyAngles
 
 SMALL = MeshSpec(5, 9, 9)
+# |01> is both players' favorite outcome
+COORDINATION = GameTable(name="coord", u1=((0, 5), (0, 0)), u2=((0, 5), (0, 0)))
 
 angle_triples = st.tuples(
     st.floats(0, 2 * math.pi),
@@ -89,6 +91,19 @@ integer_games = st.tuples(
 ).map(lambda t: GameTable(name="drawn", u1=(t[0][:2], t[0][2:]), u2=(t[1][:2], t[1][2:])))
 
 
+def _dense_best_responses(game, spec, mesh, responder):
+    """best_response_table by argmax over the full tables of the whole mesh."""
+    p1, p2 = _kernels.payoff_tables(
+        mesh_angle_array(mesh),
+        build_entangler(spec),
+        game.u1_array().reshape(4),
+        game.u2_array().reshape(4),
+    )
+    # rows: the opponent's strategy; columns: the responder's
+    pay = p2 if responder == 2 else p1.T
+    return [set()] + [{int(k) + 1 for k in np.flatnonzero(row >= row.max() - TIE_TOL)} for row in pay]
+
+
 class TestSearchOnPayoffClasses:
     """The default search runs on one strategy per payoff class and lists every mesh index."""
 
@@ -104,18 +119,34 @@ class TestSearchOnPayoffClasses:
     @given(integer_games, entangler_specs, small_meshes, st.sampled_from([1, 2]))
     @settings(max_examples=80, deadline=None)
     def test_best_response_table_matches_dense_argmax(self, game, spec, mesh, responder):
-        p1, p2 = _kernels.payoff_tables(
-            mesh_angle_array(mesh),
-            build_entangler(spec),
-            game.u1_array().reshape(4),
-            game.u2_array().reshape(4),
+        assert best_response_table(game, spec, mesh, responder) == _dense_best_responses(
+            game, spec, mesh, responder
         )
-        # rows: the opponent's strategy; columns: the responder's
-        pay = p2 if responder == 2 else p1.T
-        ref = [set()] + [
-            {int(k) + 1 for k in np.flatnonzero(row >= row.max() - TIE_TOL)} for row in pay
-        ]
-        assert best_response_table(game, spec, mesh, responder) == ref
+
+    @pytest.mark.parametrize("game", [DA_BROTHER, COORDINATION])
+    def test_many_blocks_of_classes(self, game):
+        # 506 classes: both kernel passes and the reply table cross four
+        # BLOCK_ROWS blocks; the coordination game's equilibria span all four
+        mesh = MeshSpec(9, 13, 13)
+        spec = EntanglerSpec("j2", 0.8)
+        got = find_pure_ne(game, spec, mesh)
+        ref = find_pure_ne(game, spec, mesh, use_matrix=True)
+        assert [p[:2] for p in got.pairs] == [p[:2] for p in ref.pairs]
+        for a, b in zip(got.pairs, ref.pairs):
+            assert abs(a[2].p1 - b[2].p1) <= 1e-12 and abs(a[2].p2 - b[2].p2) <= 1e-12
+        for responder in (1, 2):
+            assert best_response_table(game, spec, mesh, responder) == _dense_best_responses(
+                game, spec, mesh, responder
+            )
+
+    def test_flat_game_lists_every_pair(self):
+        # every pair of a game with equal payoffs is an equilibrium
+        flat = GameTable(name="flat", u1=((1, 1), (1, 1)), u2=((1, 1), (1, 1)))
+        n = SMALL.n_strategies
+        result = find_pure_ne(flat, EntanglerSpec("j1", 0.8), SMALL)
+        every_pair = [(i, k) for i in range(1, n + 1) for k in range(1, n + 1)]
+        assert [p[:2] for p in result.pairs] == every_pair
+        assert all(abs(p[2].p1 - 1) <= 1e-12 and abs(p[2].p2 - 1) <= 1e-12 for p in result.pairs)
 
     def test_repeated_searches_share_index_ints(self):
         # results kept from many searches on one mesh hold one int per index
@@ -263,10 +294,8 @@ class TestNoPsneCertificate:
         assert no_psne_certificate("triplet", 200, PRISONER_DILEMMA)
 
     def test_fails_for_coordination_game(self):
-        # |01> is already both players' favorite outcome: the pair reaching
-        # it is a settlement point, so the certificate must refuse
-        game = GameTable(name="coord", u1=((0, 5), (0, 0)), u2=((0, 5), (0, 0)))
-        assert not no_psne_certificate("psi_plus", 50, game)
+        # the pair reaching |01> is a settlement point, so the certificate must refuse
+        assert not no_psne_certificate("psi_plus", 50, COORDINATION)
 
     def test_deterministic_in_seed(self):
         assert no_psne_certificate("psi_plus", 50, seed=7) == no_psne_certificate(
@@ -276,6 +305,10 @@ class TestNoPsneCertificate:
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):
             no_psne_certificate("psi_plus", 0)
+
+    def test_rejects_unknown_form(self):
+        with pytest.raises(ValueError, match="bell"):
+            no_psne_certificate("bell", 10)
 
 
 class TestMixedCycle:
