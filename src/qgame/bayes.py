@@ -19,7 +19,7 @@ from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable, closed_form_sq_amplitudes
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
-from .search import TIE_TOL
+from .search import TIE_TOL, analytic_best_response
 from .strategies import TWO_PI, StrategyAngles
 
 # Player 2 type I: the standard asymmetric-dilemma brother.
@@ -78,9 +78,8 @@ def bayes_payoffs(spec: BayesSpec, prof: BayesProfile) -> BayesPayoffs:
 
 
 def bayes_best_response_2I(g1: StrategyAngles) -> StrategyAngles:
-    """Type I's reply: full squared amplitude on |01>, their best column."""
-    phi, alpha, theta = g1.as_tuple()
-    return StrategyAngles((alpha - math.pi / 2) % TWO_PI, phi % TWO_PI, math.pi - theta)
+    """Type I's reply: full squared amplitude on |01>, their best column (the psi_plus reply)."""
+    return analytic_best_response(2, "psi_plus", g1)
 
 
 def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:

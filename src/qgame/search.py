@@ -12,6 +12,7 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import PRISONER_DILEMMA, GameTable, PayoffPair, closed_form_sq_amplitudes
+from .linalg import is_unitary
 from .mesh import MeshSpec, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
 
@@ -37,10 +38,13 @@ class NeResult:
 
 
 def _entangler(spec_or_j) -> np.ndarray:
-    """The 4x4 J of an EntanglerSpec, or an explicit 4x4 J as a complex array."""
+    """The 4x4 J of an EntanglerSpec, or an explicit unitary 4x4 J as a complex array."""
     if isinstance(spec_or_j, EntanglerSpec):
         return build_entangler(spec_or_j)
-    return np.asarray(spec_or_j, dtype=complex)
+    j = np.asarray(spec_or_j, dtype=complex)
+    if j.shape != (4, 4) or not is_unitary(j):
+        raise ValueError("entangler must be a unitary 4x4 matrix")
+    return j
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,9 @@ def analytic_best_response(responder: int, form: str, g_opp: StrategyAngles) -> 
 
     Two angle maps reach each target (they differ by pi in both phase
     angles and give strategy matrices of opposite sign). Under "psi_plus"
-    the map is chosen per input so that alternating best replies return to
-    the starting strategy after four steps, with the phase endpoints 0 and
-    2*pi kept apart wherever that is possible (see _psi_plus_reply1).
+    the reply's phases lie in [0, 2*pi), and player 1 picks the map by the
+    quarter of alpha, so that alternating replies close a four-step cycle
+    up to 0 == 2*pi (see _psi_plus_reply).
     """
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
@@ -191,9 +195,7 @@ def _raw_best_response(responder: int, form: str, opp_angles):
     """
     phi, alpha, theta = opp_angles
     if form == "psi_plus":
-        if responder == 2:
-            return _psi_plus_reply2(phi, alpha, theta)
-        return _psi_plus_reply1(phi, alpha, theta)
+        return _psi_plus_reply(responder, phi, alpha, theta)
     if form == "triplet":
         if responder == 2:
             return ((math.pi / 2 - alpha) % TWO_PI, (math.pi / 2 - phi) % TWO_PI, math.pi - theta)
@@ -201,93 +203,30 @@ def _raw_best_response(responder: int, form: str, opp_angles):
     raise ValueError(f"unknown closed form {form!r}")
 
 
-# The psi_plus replies shift both phases by multiples of pi/2. A phase at
-# an exact multiple k * pi/2 is tracked by k = 0..4, so that the endpoints
-# k = 0 and k = 4 (2*pi) stay distinct strategies.
-_QUARTER = math.pi / 2
+# A phase closer than this to a multiple of pi/2 counts as that multiple. The
+# margin lies on the float grid of [8, 16): a reply maps it exactly onto the
+# next multiple's margin, and monotone rounding moves no other phase across it.
+_SNAP = 16 * math.ulp(TWO_PI)
 
 
-def _quarter(v: float):
-    k = round(v / _QUARTER)
-    return k if v == k * _QUARTER else None
+def _psi_plus_reply(responder, phi, alpha, theta):
+    """The psi_plus reply (alpha - pi/2, phi, pi - theta), phases mod 2*pi.
 
-
-def _psi_plus_reply2(phi, alpha, theta):
-    """Player 2's reply (alpha - pi/2, phi); at alpha = 2*pi the other map.
-
-    Both maps send alpha = 0 and alpha = 2*pi to one phase, so using the
-    (alpha + pi/2, phi + pi) map at 2*pi keeps the two apart.
+    Player 1 adds pi to both phases when alpha lies in an odd quarter,
+    [pi/2, pi) or [3*pi/2, 2*pi). Player 1's reply to player 2's reply to g
+    then turns g by a quarter in both phases, down from an even quarter of
+    phi and up from an odd one; each turn flips the parity, so the next one
+    goes back. An alpha within _SNAP of a multiple of pi/2 is that multiple,
+    so rounding cannot flip the parity.
     """
-    if _quarter(alpha) == 4:
-        return (_QUARTER, phi + math.pi if phi < math.pi else phi - math.pi, math.pi - theta)
-    return ((alpha - _QUARTER) % TWO_PI, phi, math.pi - theta)
-
-
-# Quarter-turn direction of the four-step cycle at a phase multiple k: the
-# pairs 0 <-> 3*pi/2 and pi/2 <-> 2*pi are each other's images, and pi is
-# left without a partner (see _psi_plus_reply1).
-_TURN = {0: -1, 1: -1, 3: 1, 4: 1}
-_TURNED = {-1: 3, 0: 4, 4: 0, 5: 1}
-
-
-def _turn(v, k, sign, landing=None):
-    if k is None:
-        return (v + sign * _QUARTER) % TWO_PI
-    k += sign
-    if k == 0 and landing is not None:
-        return landing
-    return _TURNED.get(k, k) * _QUARTER
-
-
-def _psi_plus_reply1(phi, alpha, theta):
-    """Player 1's reply, chosen so that the four-step cycle closes.
-
-    Player 1's reply to player 2's reply to g is g turned by a quarter in
-    both phases, (phi, alpha) +/- (pi/2, pi/2); the cycle closes when the
-    turn's direction alternates. Off the multiples of pi/2 the direction
-    follows phi: up when phi mod pi >= pi/2. At multiples of pi/2 it
-    follows _TURN, which keeps the endpoints 0 and 2*pi of either phase
-    apart. Two things cannot be kept, because the closed range [0, 2*pi]
-    has one more phase value than the circle: a phase of exactly pi (it
-    has no partner left), and two of the four corners (0 or 2*pi, 0 or
-    2*pi), which the quarter turn sends to (pi/2, pi/2) or
-    (3*pi/2, 3*pi/2) only. The corners kept are (0, 0) and (0, 2*pi);
-    (2*pi, 0) and (2*pi, 2*pi) return to them. A phase too small to
-    survive a shift by pi/2 acts as 0, so this keeps the near-corners
-    (tiny, 2*pi) too.
-    """
-    k_phi, k_alpha = _quarter(phi), _quarter(alpha)
-    if k_phi is None and k_alpha is None:
-        out = ((alpha - _QUARTER) % TWO_PI, phi, math.pi - theta)
-        if (alpha % math.pi) >= _QUARTER:
-            out = ((out[0] + math.pi) % TWO_PI, (out[1] + math.pi) % TWO_PI, out[2])
-        return out
-    # the strategy (g_phi, g_alpha) that player 2's reply (phi, alpha) answers
-    if k_phi == 1:
-        # player 2's other map, used at g_alpha = 2*pi; g_phi = pi went to 0, 0 and 2*pi to pi
-        if k_alpha is None:
-            g_phi = alpha + math.pi if alpha < math.pi else alpha - math.pi
-        else:
-            g_phi = (k_alpha + 2) % 4 * _QUARTER
-        g_alpha = TWO_PI
-    elif k_phi == 3:
-        g_phi, g_alpha = alpha, 0.0
-    else:
-        g_phi, g_alpha = alpha, (phi + _QUARTER) % TWO_PI
-    k_gphi, k_galpha = _quarter(g_phi), _quarter(g_alpha)
-    if k_galpha in _TURN:
-        sign = _TURN[k_galpha]
-    elif k_gphi in _TURN:
-        sign = _TURN[k_gphi]
-    else:
-        sign = 1 if g_phi % math.pi >= _QUARTER else -1
-    # (pi/2, pi/2) is the image of the corner (0, 2*pi), which it turns back to
-    landing = 0.0 if (k_gphi, k_galpha) == (1, 1) else None
-    return (
-        _turn(g_phi, k_gphi, sign, landing),
-        _turn(g_alpha, k_galpha, sign),
-        math.pi - theta,
-    )
+    quarter = math.pi / 2
+    k = round(alpha / quarter)
+    if abs(alpha - k * quarter) < _SNAP:
+        alpha = k * quarter
+    out = ((alpha - quarter) % TWO_PI, phi % TWO_PI, math.pi - theta)
+    if responder == 1 and alpha % math.pi >= quarter:
+        out = ((out[0] + math.pi) % TWO_PI, (out[1] + math.pi) % TWO_PI, out[2])
+    return out
 
 
 def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: StrategyAngles) -> float:
@@ -342,8 +281,9 @@ def mixed_cycle(g1: StrategyAngles):
     """The four-strategy best-response cycle seeded at g1.
 
     Returns (g2, g1', g2') with g2 the reply of player 2 to g1, g1' the
-    reply of player 1 to g2 and g2' the reply of player 2 to g1'; one more
-    reply of player 1 to g2' closes the cycle back at g1.
+    reply of player 1 to g2 and g2' the reply of player 2 to g1' ("psi_plus"
+    replies, phases in [0, 2*pi)). One more reply of player 1 to g2' closes
+    the cycle at g1 up to rounding and 0 == 2*pi: a phase 2*pi returns as 0.
     """
     g2 = analytic_best_response(2, "psi_plus", g1)
     g1p = analytic_best_response(1, "psi_plus", g2)

@@ -20,6 +20,7 @@ from qgame.bayes import (
 )
 from qgame.games import GameTable, closed_form_sq_amplitudes
 from qgame.mesh import MeshSpec
+from qgame.search import analytic_best_response
 from qgame.strategies import StrategyAngles
 
 GRID = MeshSpec(9, 17, 17)
@@ -70,6 +71,11 @@ class TestBestResponses:
         pay = bayes_payoffs(BayesSpec(0.3), prof)
         assert abs(pay.p2I - (-1.0)) < 1e-11
         assert abs(pay.p2II - (-2.0)) < 1e-11
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi, 4.0, 2 * math.pi])
+    def test_type_I_reply_is_psi_plus_reply_at_alpha_2pi(self, phi):
+        g1 = StrategyAngles(phi, 2 * math.pi, 1.0)
+        assert bayes_best_response_2I(g1) == analytic_best_response(2, "psi_plus", g1)
 
     def test_replies_to_identity(self):
         assert bayes_best_response_2I(ORIGIN) == StrategyAngles(0, 0, math.pi)

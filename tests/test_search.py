@@ -15,6 +15,7 @@ from qgame.games import (
 )
 from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from qgame.search import (
+    _SNAP,
     TIE_TOL,
     analytic_best_response,
     best_response_table,
@@ -190,6 +191,11 @@ class TestBestResponseTable:
         with pytest.raises(ValueError):
             best_response_table(DA_BROTHER, EntanglerSpec("j1", 0.0), SMALL, 3)
 
+    @pytest.mark.parametrize("j", [np.zeros((4, 4)), 2 * np.eye(4), np.eye(3)], ids=["zero", "scaled", "3x3"])
+    def test_explicit_matrix_must_be_unitary_4x4(self, j):
+        with pytest.raises(ValueError, match="entangler must be a unitary 4x4 matrix"):
+            best_response_table(DA_BROTHER, j, MeshSpec(3, 3, 3), 2)
+
 
 class TestSweep:
     def test_monotone_disappearance(self):
@@ -213,6 +219,40 @@ class TestSweep:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             sweep_beta(DA_BROTHER, "j1", SMALL, [0.5, 0.1])
+
+
+# the floats next to 0, pi/2, pi, 3*pi/2 and 2*pi inside [0, 2*pi]
+NEXT_TO_QUARTERS = [
+    v
+    for k in range(5)
+    for v in (math.nextafter(k * math.pi / 2, -1.0), math.nextafter(k * math.pi / 2, 7.0))
+    if 0.0 <= v <= 2 * math.pi
+]
+phases_and_quarters = st.one_of(
+    st.floats(0, 2 * math.pi),
+    st.sampled_from([k * math.pi / 2 for k in range(5)] + NEXT_TO_QUARTERS),
+)
+
+
+def _circular_distance(a, b):
+    d = abs(a - b) % (2 * math.pi)
+    return min(d, 2 * math.pi - d)
+
+
+def _cycle_closes(g1):
+    """Player 1's reply to the end of mixed_cycle(g1) is g1, with 0 == 2*pi in phi and alpha.
+
+    The payoffs cannot tell a phase 0 from 2*pi (tests/test_kernels.py), and
+    the closed range [0, 2*pi] holds one phase value more than the circle:
+    the quarter turns of the cycle send the four corners (0 or 2*pi, 0 or
+    2*pi) to two strategies only, so no reply rule can return all four.
+    """
+    back = analytic_best_response(1, "psi_plus", mixed_cycle(g1)[2])
+    return (
+        _circular_distance(back.phi, g1.phi) <= 1e-9
+        and _circular_distance(back.alpha, g1.alpha) <= 1e-9
+        and abs(back.theta - g1.theta) <= 1e-9
+    )
 
 
 class TestAnalyticBestResponse:
@@ -240,10 +280,7 @@ class TestAnalyticBestResponse:
     @given(angle_triples)
     @settings(max_examples=150)
     def test_cycle_closes_in_four_steps(self, triple):
-        g1 = StrategyAngles(*triple)
-        g2, g1p, g2p = mixed_cycle(g1)
-        back = analytic_best_response(1, "psi_plus", g2p)
-        assert np.allclose(back.as_tuple(), g1.as_tuple(), atol=1e-9)
+        assert _cycle_closes(StrategyAngles(*triple))
 
     @pytest.mark.parametrize(
         "triple",
@@ -263,22 +300,45 @@ class TestAnalyticBestResponse:
         ],
     )
     def test_cycle_closes_at_phase_endpoints(self, triple):
-        # 0 and 2*pi are distinct strategies; the cycle keeps them apart
-        g1 = StrategyAngles(*triple)
-        g2, g1p, g2p = mixed_cycle(g1)
-        back = analytic_best_response(1, "psi_plus", g2p)
-        assert np.allclose(back.as_tuple(), g1.as_tuple(), rtol=0, atol=1e-9)
+        assert _cycle_closes(StrategyAngles(*triple))
 
-    def test_corner_cycles_reach_only_two_strategies(self):
-        # A reply to a reply turns both phases by +/- pi/2, so the four corner
-        # starts (0 or 2*pi, 0 or 2*pi) reach only (pi/2, pi/2) or
-        # (3*pi/2, 3*pi/2) after two steps, and the rest of the cycle cannot
-        # tell more than two of them apart. (0, 0) and (0, 2*pi) close;
-        # (2*pi, 0) and (2*pi, 2*pi) cannot.
+    def test_corner_cycles_close(self):
+        # the corners (0 or 2*pi, 0 or 2*pi) close; a phase 2*pi returns as 0
         corners = [(p, a, 1.0) for p in (0.0, 2 * math.pi) for a in (0.0, 2 * math.pi)]
-        halfway = {mixed_cycle(StrategyAngles(*c))[1].as_tuple() for c in corners}
-        quarter = math.pi / 2
-        assert halfway == {(quarter, quarter, 1.0), (3 * quarter, 3 * quarter, 1.0)}
+        assert all(_cycle_closes(StrategyAngles(*c)) for c in corners)
+
+    @pytest.mark.parametrize(
+        "triple",
+        [(math.pi, 0.7, 1.0), (0.7, math.pi, 1.0), (math.pi, math.pi, 2.0)]
+        + [(v, 0.7, 1.0) for v in NEXT_TO_QUARTERS]
+        + [(0.7, v, 1.0) for v in NEXT_TO_QUARTERS]
+        + [(v, w, 1.0) for v in NEXT_TO_QUARTERS[::3] for w in NEXT_TO_QUARTERS[1::3]],
+        ids=repr,
+    )
+    def test_cycle_closes_at_phase_pi_and_next_to_quarters(self, triple):
+        assert _cycle_closes(StrategyAngles(*triple))
+
+    def test_cycle_closes_on_ulp_windows_of_the_quarters(self):
+        # every float within 40 ulps of a multiple of pi/2 and of the margin
+        # around it inside which a phase counts as that multiple
+        for centre in (k * math.pi / 2 + d for k in range(5) for d in (0.0, _SNAP, -_SNAP)):
+            below = above = centre
+            window = [centre]
+            for _ in range(40):
+                below, above = math.nextafter(below, -1.0), math.nextafter(above, 7.0)
+                window += [below, above]
+            for v in (v for v in window if 0.0 <= v <= 2 * math.pi):
+                assert _cycle_closes(StrategyAngles(v, 0.7, 1.0)), v
+                assert _cycle_closes(StrategyAngles(0.7, v, 1.0)), v
+
+    @given(
+        st.tuples(phases_and_quarters, phases_and_quarters, st.floats(0, math.pi)),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=150)
+    def test_psi_plus_reply_phases_lie_in_half_open_turn(self, triple, responder):
+        reply = analytic_best_response(responder, "psi_plus", StrategyAngles(*triple))
+        assert 0.0 <= reply.phi < 2 * math.pi and 0.0 <= reply.alpha < 2 * math.pi
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
