@@ -9,8 +9,10 @@ Each final amplitude of the protocol J^dag (U1 x U2) J |00> is therefore
 bilinear, A_k = q1^T C_k q2, with complex 4x4 matrices C_k fixed by J, and
 every payoff sum_k u_k |A_k|^2 is a real bilinear form f(q1)^T W_u f(q2) in
 the ten products f(q) = (q_a q_b, a <= b). W_u is a 10x10 matrix built once
-from J and the payoff table, so the payoffs of N strategies against each
-other are the single matrix product F W_u F^T, for any 4x4 entangler J.
+from J and a row u of outcome payoffs, so the payoffs of N strategies
+against each other are the single matrix product F W_u F^T, for any 4x4
+entangler J. A stack of rows u, such as GameTable.outcome_payoffs(), gives
+one W and one leading axis of payoffs per row: one call, both players.
 
 The features are even in q, so U and -U give equal payoffs, and they agree
 to rounding at phi, alpha = 0 and 2*pi; mesh.mesh_classes groups the mesh
@@ -48,37 +50,33 @@ def _features(angles: np.ndarray) -> np.ndarray:
 
 
 def _weights(j, u) -> np.ndarray:
-    """The 10x10 W with payoff f(q1)^T W f(q2) under entangler j and table u."""
+    """The 10x10 W with payoff f(q1)^T W f(q2) under entangler j, for each row of u."""
     j = np.asarray(j, dtype=complex)
     # c[k, a, b] = <k| J^dag (B_a x B_b) J |00>, so A_k = sum_ab q1_a q2_b c[k, a, b]
     c = np.einsum("lk,ablm,m->kab", j.conj(), _PRODUCTS, j[:, 0])
     # payoff = sum_{a,c,b,d} q1_a q1_c q2_b q2_d t[a, c, b, d]; the imaginary
     # parts cancel in the sum, and only the parts symmetric in (a, c) and
     # in (b, d) reach it
-    t = np.einsum("k,kab,kcd->acbd", np.asarray(u, dtype=float), c, c.conj()).real
-    t = (t + t.transpose(1, 0, 2, 3)) / 2.0
-    t = (t + t.transpose(0, 1, 3, 2)) / 2.0
+    t = np.einsum("...k,kab,kcd->...acbd", np.asarray(u, dtype=float), c, c.conj()).real
+    t = (t + t.swapaxes(-4, -3)) / 2.0
+    t = (t + t.swapaxes(-2, -1)) / 2.0
     a, b = _PAIRS
-    return t[a, b][:, a, b] * np.outer(_PAIR_COUNT, _PAIR_COUNT)
+    w = t[..., a, b, :, :][..., a, b] * np.outer(_PAIR_COUNT, _PAIR_COUNT)
+    # row-major, so that each W of a stack multiplies bit for bit as a single W
+    return np.ascontiguousarray(w)
 
 
 def payoff_block(angles1, angles2, j, u) -> np.ndarray:
-    """Payoffs under table u of every row strategy of angles1 against every one of angles2."""
+    """Payoffs under each row of u of every strategy of angles1 against every one of angles2."""
     return _features(angles1) @ _weights(j, u) @ _features(angles2).T
 
 
 def pair_payoffs(angles1, angles2, j, u) -> np.ndarray:
-    """Payoffs under table u of row i of angles1 against row i of angles2, for each i."""
-    return np.einsum("ij,ij->i", _features(angles1) @ _weights(j, u), _features(angles2))
+    """Payoffs under each row of u of row i of angles1 against row i of angles2, for each i."""
+    return np.einsum("...ij,ij->...i", _features(angles1) @ _weights(j, u), _features(angles2))
 
 
-def payoff_tables(angles, j, u1, u2):
-    """Full N x N payoff tables (P1, P2): row player 1's strategy, column player 2's."""
-    f = _features(angles)
-    return (f @ _weights(j, u1)) @ f.T, (f @ _weights(j, u2)) @ f.T
-
-
-def pure_ne_pairs(angles, j, u1, u2, tol=1e-9):
+def pure_ne_pairs(angles, j, u, tol=1e-9):
     """Mutual-best-response pairs without materializing the full tables.
 
     Two passes over row blocks: the first accumulates the column maxima of
@@ -86,16 +84,17 @@ def pure_ne_pairs(angles, j, u1, u2, tol=1e-9):
     2's rows, keeps the replies within tol of each row's maximum and
     evaluates player 1's payoff only at those pairs, keeping the ones within
     tol of player 1's column maximum. Returns the pairs as two 0-based index
-    arrays (rows, cols), ordered lexicographically.
+    arrays (rows, cols), ordered lexicographically. u is the (2, 4) stack of
+    both players' outcome payoffs.
     """
     f = _features(angles)
     n = f.shape[0]
-    w1 = _weights(j, u1)
+    w1, w2 = _weights(j, u)
     g1 = w1.T @ f.T
     colmax1 = np.empty(n)
     for i0 in range(0, n, BLOCK_ROWS):
         colmax1[i0 : i0 + BLOCK_ROWS] = (f[i0 : i0 + BLOCK_ROWS] @ g1).max(axis=1)
-    g2 = _weights(j, u2) @ f.T
+    g2 = w2 @ f.T
     h1 = f @ w1
     rows, cols = [], []
     for i0 in range(0, n, BLOCK_ROWS):

@@ -19,8 +19,8 @@ from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable, closed_form_sq_amplitudes
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
-from .search import TIE_TOL, analytic_best_response
-from .strategies import TWO_PI, StrategyAngles
+from .search import TIE_TOL, _phase, analytic_best_response
+from .strategies import StrategyAngles
 
 # Player 2 type I: the standard asymmetric-dilemma brother.
 GAME_TYPE_I = GameTable(
@@ -69,12 +69,10 @@ def bayes_payoffs(spec: BayesSpec, prof: BayesProfile) -> BayesPayoffs:
     """
     w_i = np.array(closed_form_sq_amplitudes("psi_plus", prof.g1, prof.g2I))
     w_ii = np.array(closed_form_sq_amplitudes("psi_plus", prof.g1, prof.g2II))
-    u1_i = spec.game_2I.u1_array().reshape(4)
-    u1_ii = spec.game_2II.u1_array().reshape(4)
-    p1 = spec.mu * float(w_i @ u1_i) + (1.0 - spec.mu) * float(w_ii @ u1_ii)
-    p2i = float(w_i @ spec.game_2I.u2_array().reshape(4))
-    p2ii = float(w_ii @ spec.game_2II.u2_array().reshape(4))
-    return BayesPayoffs(p1, p2i, p2ii)
+    u_i = spec.game_2I.outcome_payoffs()
+    u_ii = spec.game_2II.outcome_payoffs()
+    p1 = spec.mu * float(w_i @ u_i[0]) + (1.0 - spec.mu) * float(w_ii @ u_ii[0])
+    return BayesPayoffs(p1, float(w_i @ u_i[1]), float(w_ii @ u_ii[1]))
 
 
 def bayes_best_response_2I(g1: StrategyAngles) -> StrategyAngles:
@@ -85,7 +83,7 @@ def bayes_best_response_2I(g1: StrategyAngles) -> StrategyAngles:
 def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
     """Type II's reply: full squared amplitude on |00>, their best column."""
     phi, alpha, theta = g1.as_tuple()
-    return StrategyAngles((-phi) % TWO_PI, (-(alpha + math.pi / 2)) % TWO_PI, theta)
+    return StrategyAngles(_phase(-phi), _phase(-(alpha + math.pi / 2)), theta)
 
 
 # The equilibrium-candidate opponent profile: each type's best reply to
@@ -107,7 +105,7 @@ def _p1_row(spec: BayesSpec, angles: np.ndarray) -> np.ndarray:
     total = np.zeros(angles.shape[0])
     for weight, game, reply in _types(spec):
         reply_angles = np.array([reply.as_tuple()])
-        total += weight * _kernels.payoff_block(angles, reply_angles, _J_MAX, game.u1_array().reshape(4))[:, 0]
+        total += weight * _kernels.payoff_block(angles, reply_angles, _J_MAX, game.outcome_payoffs()[0])[:, 0]
     return total
 
 
@@ -160,7 +158,7 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     for _, game, reply in _types(spec):
         # the reply's payoff first, then every mesh strategy's
         replies = np.vstack([reply.as_tuple(), angles])
-        p2 = _kernels.payoff_block(_IDENTITY, replies, _J_MAX, game.u2_array().reshape(4))[0]
+        p2 = _kernels.payoff_block(_IDENTITY, replies, _J_MAX, game.outcome_payoffs()[1])[0]
         if p2[0] < p2[1:].max() - TIE_TOL:
             raise ValueError(
                 f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "

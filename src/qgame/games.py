@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,11 +54,9 @@ class GameTable:
                 raise GameFormatError(f"field {field!r} contains non-finite entries")
             object.__setattr__(self, field, grid)
 
-    def u1_array(self) -> np.ndarray:
-        return np.array(self.u1, dtype=float)
-
-    def u2_array(self) -> np.ndarray:
-        return np.array(self.u2, dtype=float)
+    def outcome_payoffs(self) -> np.ndarray:
+        """(2, 4) array: row p-1 holds player p's payoffs for |00>, |01>, |10>, |11>."""
+        return np.array([self.u1, self.u2], dtype=float).reshape(2, 4)
 
 
 class PayoffPair(NamedTuple):
@@ -98,8 +95,7 @@ def final_state(j: np.ndarray, g1: StrategyAngles, g2: StrategyAngles) -> np.nda
 def payoffs(amps: np.ndarray, game: GameTable) -> PayoffPair:
     """Payoffs from a final amplitude vector: squared magnitudes weight the table."""
     w = np.abs(np.asarray(amps, dtype=complex).reshape(4)) ** 2
-    u1 = game.u1_array().reshape(4)
-    u2 = game.u2_array().reshape(4)
+    u1, u2 = game.outcome_payoffs()
     return PayoffPair(float(w @ u1), float(w @ u2))
 
 
@@ -243,8 +239,3 @@ def resolve_game(name_or_path: str) -> GameTable:
     if name_or_path in BUILTIN_GAMES:
         return BUILTIN_GAMES[name_or_path]
     return load_game(name_or_path)
-
-
-def builtin_game_json(name: str) -> str:
-    """The packaged JSON fixture text for a built-in game."""
-    return resources.files("qgame.data").joinpath(f"{name}.json").read_text()

@@ -48,13 +48,20 @@ class MeshSpec:
         return (self.n_theta - 2) * self.n_phi * self.n_alpha + 2
 
     def theta_value(self, k: int) -> float:
-        return math.pi * k / (self.n_theta - 1)
+        return _axis_value(math.pi, self.n_theta, k)
 
     def phi_value(self, k: int) -> float:
-        return 0.0 if self.n_phi == 1 else TWO_PI * k / (self.n_phi - 1)
+        return _axis_value(TWO_PI, self.n_phi, k)
 
     def alpha_value(self, k: int) -> float:
-        return 0.0 if self.n_alpha == 1 else TWO_PI * k / (self.n_alpha - 1)
+        return _axis_value(TWO_PI, self.n_alpha, k)
+
+
+def _axis_value(stop: float, n: int, k: int) -> float:
+    """Value k of n equally spaced on [0, stop], bit for bit as np.linspace gives it."""
+    if n == 1:
+        return 0.0
+    return stop if k == n - 1 else k * (stop / (n - 1))
 
 
 def index_to_angles(mesh: MeshSpec, index: int) -> StrategyAngles:
@@ -96,12 +103,12 @@ def angles_to_index(mesh: MeshSpec, g: StrategyAngles, tol: float = 1e-9) -> int
 
 def mesh_angle_array(mesh: MeshSpec) -> np.ndarray:
     """All mesh strategies as an (N_S, 3) array of (phi, alpha, theta) rows."""
-    thetas = np.linspace(0.0, math.pi, mesh.n_theta)
-    phis = np.linspace(0.0, TWO_PI, mesh.n_phi) if mesh.n_phi > 1 else np.zeros(1)
-    alphas = np.linspace(0.0, TWO_PI, mesh.n_alpha) if mesh.n_alpha > 1 else np.zeros(1)
+    thetas = [mesh.theta_value(k) for k in range(1, mesh.n_theta - 1)]
+    phis = [mesh.phi_value(k) for k in range(mesh.n_phi)]
+    alphas = [mesh.alpha_value(k) for k in range(mesh.n_alpha)]
     n = mesh.n_strategies
     out = np.zeros((n, 3))
-    tt, pp, aa = np.meshgrid(thetas[1:-1], phis, alphas, indexing="ij")
+    tt, pp, aa = np.meshgrid(thetas, phis, alphas, indexing="ij")
     out[1:-1, 0] = pp.ravel()
     out[1:-1, 1] = aa.ravel()
     out[1:-1, 2] = tt.ravel()

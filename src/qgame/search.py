@@ -97,7 +97,7 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     layout = _class_layout(mesh)
     j = _entangler(spec_or_j)
     angles = layout.rep_angles
-    u = (game.u1_array() if responder == 1 else game.u2_array()).reshape(4)
+    u = game.outcome_payoffs()[responder - 1]
     class_sets = [set() for _ in layout.members]
     for i0 in range(0, angles.shape[0], _kernels.BLOCK_ROWS):
         block = angles[i0 : i0 + _kernels.BLOCK_ROWS]
@@ -125,11 +125,11 @@ def find_pure_ne(
     pairs still lists every mesh index. use_matrix builds both full tables
     of the whole mesh first and masks them, as a dense cross-check.
     """
-    u1 = game.u1_array().reshape(4)
-    u2 = game.u2_array().reshape(4)
+    u = game.outcome_payoffs()
     j = build_entangler(spec)
     if use_matrix:
-        p1, p2 = _kernels.payoff_tables(mesh_angle_array(mesh), j, u1, u2)
+        angles = mesh_angle_array(mesh)
+        p1, p2 = _kernels.payoff_block(angles, angles, j, u)
         mask = (p2 >= p2.max(axis=1)[:, None] - TIE_TOL) & (p1 >= p1.max(axis=0)[None, :] - TIE_TOL)
         rows, cols = np.nonzero(mask)
         pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
@@ -137,14 +137,13 @@ def find_pure_ne(
     else:
         layout = _class_layout(mesh)
         members = layout.members
-        a, b = _kernels.pure_ne_pairs(layout.rep_angles, j, u1, u2, TIE_TOL)
+        a, b = _kernels.pure_ne_pairs(layout.rep_angles, j, u, TIE_TOL)
         pairs = sorted(
             (i, k) for c, d in zip(a.tolist(), b.tolist()) for i in members[c] for k in members[d]
         )
         flat = itertools.chain.from_iterable(pairs)
         rows, cols = np.fromiter(flat, np.intp, 2 * len(pairs)).reshape(-1, 2).T - 1
-        pay1 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u1)
-        pay2 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u2)
+        pay1, pay2 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u)
     listed = tuple(
         (i, k, PayoffPair(x, y)) for (i, k), x, y in zip(pairs, pay1.tolist(), pay2.tolist())
     )
@@ -198,9 +197,15 @@ def _raw_best_response(responder: int, form: str, opp_angles):
         return _psi_plus_reply(responder, phi, alpha, theta)
     if form == "triplet":
         if responder == 2:
-            return ((math.pi / 2 - alpha) % TWO_PI, (math.pi / 2 - phi) % TWO_PI, math.pi - theta)
-        return ((phi - math.pi / 2) % TWO_PI, (alpha + math.pi / 2) % TWO_PI, theta)
+            return (_phase(math.pi / 2 - alpha), _phase(math.pi / 2 - phi), math.pi - theta)
+        return (_phase(phi - math.pi / 2), _phase(alpha + math.pi / 2), theta)
     raise ValueError(f"unknown closed form {form!r}")
+
+
+def _phase(x: float) -> float:
+    """x mod 2*pi in [0, 2*pi); float % rounds a tiny negative x up to 2*pi itself."""
+    r = x % TWO_PI
+    return 0.0 if r == TWO_PI else r
 
 
 # A phase closer than this to a multiple of pi/2 counts as that multiple. The
@@ -223,9 +228,9 @@ def _psi_plus_reply(responder, phi, alpha, theta):
     k = round(alpha / quarter)
     if abs(alpha - k * quarter) < _SNAP:
         alpha = k * quarter
-    out = ((alpha - quarter) % TWO_PI, phi % TWO_PI, math.pi - theta)
+    out = (_phase(alpha - quarter), _phase(phi), math.pi - theta)
     if responder == 1 and alpha % math.pi >= quarter:
-        out = ((out[0] + math.pi) % TWO_PI, (out[1] + math.pi) % TWO_PI, out[2])
+        out = (_phase(out[0] + math.pi), _phase(out[1] + math.pi), out[2])
     return out
 
 
@@ -270,10 +275,10 @@ def no_psne_certificate(
     reply1 = np.array([_raw_best_response(1, form, g) for g in g2.tolist()])
     reply2 = np.array([_raw_best_response(2, form, g) for g in g1.tolist()])
     j = build_entangler(EntanglerSpec(_CERTIFICATE_FAMILY[form], math.pi / 2))
-    u1 = game.u1_array().reshape(4)
-    u2 = game.u2_array().reshape(4)
-    improves1 = _kernels.pair_payoffs(reply1, g2, j, u1) > _kernels.pair_payoffs(g1, g2, j, u1) + 1e-12
-    improves2 = _kernels.pair_payoffs(g1, reply2, j, u2) > _kernels.pair_payoffs(g1, g2, j, u2) + 1e-12
+    u = game.outcome_payoffs()
+    now1, now2 = _kernels.pair_payoffs(g1, g2, j, u)
+    improves1 = _kernels.pair_payoffs(reply1, g2, j, u[0]) > now1 + 1e-12
+    improves2 = _kernels.pair_payoffs(g1, reply2, j, u[1]) > now2 + 1e-12
     return bool(np.all(improves1 | improves2))
 
 

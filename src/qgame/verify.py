@@ -96,11 +96,9 @@ def check_search_determinism(rng, samples=100):
     )
     # cross-check sampled kernel table entries against the operator protocol
     angles = mesh_angle_array(mesh)
-    u1 = DA_BROTHER.u1_array().reshape(4)
-    u2 = DA_BROTHER.u2_array().reshape(4)
     for family in ("j1", "j2"):
         j = build_entangler(EntanglerSpec(family, 0.8))
-        p1, p2 = _kernels.payoff_tables(angles, j, u1, u2)
+        p1, p2 = _kernels.payoff_block(angles, angles, j, DA_BROTHER.outcome_payoffs())
         for i, k in rng.integers(0, mesh.n_strategies, size=(samples, 2)):
             ref = payoffs(
                 final_state(j, StrategyAngles(*angles[i]), StrategyAngles(*angles[k])), DA_BROTHER

@@ -11,8 +11,7 @@ from qgame.mesh import MeshSpec, index_to_angles, mesh_angle_array
 from qgame.strategies import StrategyAngles
 
 MESH = MeshSpec(5, 9, 9)
-U1 = DA_BROTHER.u1_array().reshape(4)
-U2 = DA_BROTHER.u2_array().reshape(4)
+U = DA_BROTHER.outcome_payoffs()
 
 angle_triples = st.tuples(
     st.floats(0, 2 * math.pi),
@@ -21,6 +20,10 @@ angle_triples = st.tuples(
 )
 betas = st.floats(0, math.pi / 2)
 payoff_tables_4 = st.lists(st.floats(-10, 10), min_size=4, max_size=4).map(np.array)
+# both players' outcome payoffs, as GameTable.outcome_payoffs() gives them
+outcome_tables = st.lists(st.floats(-10, 10), min_size=8, max_size=8).map(
+    lambda v: np.reshape(v, (2, 4))
+)
 
 
 def _random_unitary(seed):
@@ -38,18 +41,15 @@ entanglers = st.one_of(
 )
 
 
-def _pair_payoffs(j, t1, t2, u1, u2):
+def _pair_payoffs(j, t1, t2, u):
     """Kernel payoffs (P1, P2) of raw angle triple t1 against t2."""
-    p1, p2 = (
-        _kernels.payoff_block(np.array([t1]), np.array([t2]), j, u)[0, 0] for u in (u1, u2)
-    )
-    return p1, p2
+    return _kernels.payoff_block(np.array([t1]), np.array([t2]), j, u)[:, 0, 0]
 
 
 def test_payoff_tables_match_protocol_pointwise():
     angles = mesh_angle_array(MESH)
     j = build_entangler(EntanglerSpec("j1", 0.8))
-    p1, p2 = _kernels.payoff_tables(angles, j, U1, U2)
+    p1, p2 = _kernels.payoff_block(angles, angles, j, U)
     rng = np.random.default_rng(0)
     for _ in range(25):
         i, k = rng.integers(1, MESH.n_strategies + 1, size=2)
@@ -64,7 +64,7 @@ def test_matrix_path_matches_closed_form_kernels():
     # the public J1 closed form of games.py against the kernel's tables
     angles = mesh_angle_array(MESH)
     beta = 0.9
-    p1, p2 = _kernels.payoff_tables(angles, build_entangler(EntanglerSpec("j1", beta)), U1, U2)
+    p1, p2 = _kernels.payoff_block(angles, angles, build_entangler(EntanglerSpec("j1", beta)), U)
     rng = np.random.default_rng(1)
     for i, k in rng.integers(0, MESH.n_strategies, size=(200, 2)):
         w = np.abs(
@@ -72,18 +72,16 @@ def test_matrix_path_matches_closed_form_kernels():
                 beta, StrategyAngles(*angles[i]), StrategyAngles(*angles[k])
             )
         ) ** 2
-        assert abs(p1[i, k] - w @ U1) < 1e-12
-        assert abs(p2[i, k] - w @ U2) < 1e-12
+        assert abs(p1[i, k] - w @ U[0]) < 1e-12
+        assert abs(p2[i, k] - w @ U[1]) < 1e-12
 
 
-@given(entanglers, angle_triples, angle_triples, payoff_tables_4, payoff_tables_4)
+@given(entanglers, angle_triples, angle_triples, outcome_tables)
 @settings(max_examples=200, deadline=None)
-def test_table_entries_match_protocol(j, t1, t2, u1, u2):
+def test_table_entries_match_protocol(j, t1, t2, u):
     g1, g2 = StrategyAngles(*t1), StrategyAngles(*t2)
     w = np.abs(final_state(j, g1, g2)) ** 2
-    p1, p2 = _pair_payoffs(j, g1.as_tuple(), g2.as_tuple(), u1, u2)
-    assert abs(p1 - w @ u1) < 1e-12
-    assert abs(p2 - w @ u2) < 1e-12
+    assert np.abs(_pair_payoffs(j, g1.as_tuple(), g2.as_tuple(), u) - u @ w).max() < 1e-12
 
 
 @given(entanglers, angle_triples, angle_triples, st.sampled_from(["phi", "alpha", "sign"]))
@@ -97,15 +95,15 @@ def test_payoffs_invariant_under_endpoint_and_sign(j, t1, t2, move):
     else:
         # U(phi + pi, alpha + pi, theta) = -U(phi, alpha, theta)
         before, after = t1, (phi + math.pi, alpha + math.pi, theta)
-    ref = _pair_payoffs(j, before, t2, U1, U2)
-    assert np.allclose(_pair_payoffs(j, after, t2, U1, U2), ref, rtol=0, atol=1e-12)
+    ref = _pair_payoffs(j, before, t2, U)
+    assert np.allclose(_pair_payoffs(j, after, t2, U), ref, rtol=0, atol=1e-12)
     assert np.allclose(
-        _pair_payoffs(j, t2, after, U1, U2), _pair_payoffs(j, t2, before, U1, U2), rtol=0, atol=1e-12
+        _pair_payoffs(j, t2, after, U), _pair_payoffs(j, t2, before, U), rtol=0, atol=1e-12
     )
 
 
-def _dense_ne_pairs(angles, j, u1, u2, tol=1e-9):
-    p1, p2 = _kernels.payoff_tables(angles, j, u1, u2)
+def _dense_ne_pairs(angles, j, u, tol=1e-9):
+    p1, p2 = _kernels.payoff_block(angles, angles, j, u)
     mask = (p2 >= p2.max(axis=1)[:, None] - tol) & (p1 >= p1.max(axis=0)[None, :] - tol)
     return [(int(i), int(k)) for i, k in np.argwhere(mask)]
 
@@ -117,14 +115,16 @@ def _pairs(rows_cols):
 
 # integer tables: payoffs then tie exactly or differ far beyond rounding at
 # the tie tolerance, so the two paths cannot disagree on a near-tie
-integer_tables = st.lists(st.integers(-10, 10), min_size=4, max_size=4).map(np.array)
+integer_tables = st.lists(st.integers(-10, 10), min_size=8, max_size=8).map(
+    lambda v: np.reshape(v, (2, 4))
+)
 
 
-@given(entanglers, integer_tables, integer_tables, st.sampled_from([(3, 5, 5), (4, 5, 9), (5, 9, 9)]))
+@given(entanglers, integer_tables, st.sampled_from([(3, 5, 5), (4, 5, 9), (5, 9, 9)]))
 @settings(max_examples=60, deadline=None)
-def test_pure_ne_pairs_equal_dense_mask(j, u1, u2, mesh):
+def test_pure_ne_pairs_equal_dense_mask(j, u, mesh):
     angles = mesh_angle_array(MeshSpec(*mesh))
-    assert _pairs(_kernels.pure_ne_pairs(angles, j, u1, u2)) == _dense_ne_pairs(angles, j, u1, u2)
+    assert _pairs(_kernels.pure_ne_pairs(angles, j, u)) == _dense_ne_pairs(angles, j, u)
 
 
 def test_pure_ne_pairs_spans_several_blocks():
@@ -133,7 +133,7 @@ def test_pure_ne_pairs_spans_several_blocks():
     assert angles.shape[0] > 2 * _kernels.BLOCK_ROWS
     for beta in (0.0, 0.6, 1.2, math.pi / 2):
         j = build_entangler(EntanglerSpec("j1", beta))
-        assert _pairs(_kernels.pure_ne_pairs(angles, j, U1, U2)) == _dense_ne_pairs(angles, j, U1, U2)
+        assert _pairs(_kernels.pure_ne_pairs(angles, j, U)) == _dense_ne_pairs(angles, j, U)
 
 
 @given(entanglers, payoff_tables_4, st.integers(0, 2**32 - 1))
@@ -145,3 +145,18 @@ def test_pair_payoffs_are_the_diagonal_of_the_block(j, u, seed):
     block = _kernels.payoff_block(angles1, angles2, j, u)
     pairs = _kernels.pair_payoffs(angles1, angles2, j, u)
     assert np.allclose(pairs, np.diag(block), rtol=0, atol=1e-12)
+
+
+@given(entanglers, outcome_tables, st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_stacked_tables_equal_single_table_calls(j, u, seed):
+    # a stack of rows evaluates each row exactly as a call with that row alone
+    rng = np.random.default_rng(seed)
+    n1, n2 = rng.integers(1, 300, size=2)
+    angles1, angles2, angles3 = (rng.uniform(0, 2 * math.pi, size=(n, 3)) for n in (n1, n2, n1))
+    block = _kernels.payoff_block(angles1, angles2, j, u)
+    pairs = _kernels.pair_payoffs(angles1, angles3, j, u)
+    assert block.shape == (2, n1, n2) and pairs.shape == (2, n1)
+    for p in range(2):
+        assert np.array_equal(block[p], _kernels.payoff_block(angles1, angles2, j, u[p]))
+        assert np.array_equal(pairs[p], _kernels.pair_payoffs(angles1, angles3, j, u[p]))

@@ -73,13 +73,23 @@ class TestIndexing:
 
 
 class TestMeshAngleArray:
-    def test_matches_indexing(self):
-        mesh = MeshSpec(5, 5, 3)
+    @pytest.mark.parametrize(
+        "dims", [(5, 5, 3), (9, 13, 13), (9, 17, 17), (9, 21, 21), (17, 33, 33), (5, 7, 11)]
+    )
+    def test_matches_indexing(self, dims):
+        # bit for bit: the search evaluates the array, results report index_to_angles
+        mesh = MeshSpec(*dims)
         arr = mesh_angle_array(mesh)
         assert arr.shape == (mesh.n_strategies, 3)
-        for index in range(1, mesh.n_strategies + 1):
-            g = index_to_angles(mesh, index)
-            assert np.allclose(arr[index - 1], [g.phi, g.alpha, g.theta], atol=1e-15)
+        by_index = [index_to_angles(mesh, i).as_tuple() for i in range(1, mesh.n_strategies + 1)]
+        assert arr.tolist() == [list(t) for t in by_index]
+
+    def test_axes_are_linspace(self):
+        # the search's mesh axes are the np.linspace grids for every axis length
+        for n in range(3, 400):
+            mesh = MeshSpec(n, n, n)
+            assert [mesh.theta_value(k) for k in range(n)] == np.linspace(0, math.pi, n).tolist()
+            assert [mesh.phi_value(k) for k in range(n)] == np.linspace(0, 2 * math.pi, n).tolist()
 
     def test_pole_rows(self):
         arr = mesh_angle_array(MeshSpec(9, 17, 17))

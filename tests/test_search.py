@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgame import _kernels
+from qgame.bayes import bayes_best_response_2II
 from qgame.entanglers import EntanglerSpec, build_entangler
 from qgame.games import (
+    CLOSED_FORMS,
     DA_BROTHER,
     PRISONER_DILEMMA,
     GameTable,
@@ -92,14 +94,11 @@ integer_games = st.tuples(
 ).map(lambda t: GameTable(name="drawn", u1=(t[0][:2], t[0][2:]), u2=(t[1][:2], t[1][2:])))
 
 
-def _dense_best_responses(game, spec, mesh, responder):
+def _dense_best_responses(game, spec_or_j, mesh, responder):
     """best_response_table by argmax over the full tables of the whole mesh."""
-    p1, p2 = _kernels.payoff_tables(
-        mesh_angle_array(mesh),
-        build_entangler(spec),
-        game.u1_array().reshape(4),
-        game.u2_array().reshape(4),
-    )
+    j = build_entangler(spec_or_j) if isinstance(spec_or_j, EntanglerSpec) else spec_or_j
+    angles = mesh_angle_array(mesh)
+    p1, p2 = _kernels.payoff_block(angles, angles, j, game.outcome_payoffs())
     # rows: the opponent's strategy; columns: the responder's
     pay = p2 if responder == 2 else p1.T
     return [set()] + [{int(k) + 1 for k in np.flatnonzero(row >= row.max() - TIE_TOL)} for row in pay]
@@ -139,6 +138,16 @@ class TestSearchOnPayoffClasses:
             assert best_response_table(game, spec, mesh, responder) == _dense_best_responses(
                 game, spec, mesh, responder
             )
+
+    @pytest.mark.parametrize("responder", [1, 2])
+    def test_explicit_unitary_over_many_blocks(self, responder):
+        # a random unitary J on the 506 classes of (9, 13, 13): four BLOCK_ROWS blocks
+        rng = np.random.default_rng(11)
+        j, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        mesh = MeshSpec(9, 13, 13)
+        assert best_response_table(DA_BROTHER, j, mesh, responder) == _dense_best_responses(
+            DA_BROTHER, j, mesh, responder
+        )
 
     def test_flat_game_lists_every_pair(self):
         # every pair of a game with equal payoffs is an equilibrium
@@ -331,14 +340,18 @@ class TestAnalyticBestResponse:
                 assert _cycle_closes(StrategyAngles(v, 0.7, 1.0)), v
                 assert _cycle_closes(StrategyAngles(0.7, v, 1.0)), v
 
-    @given(
-        st.tuples(phases_and_quarters, phases_and_quarters, st.floats(0, math.pi)),
-        st.sampled_from([1, 2]),
-    )
+    @given(st.tuples(phases_and_quarters, phases_and_quarters, st.floats(0, math.pi)))
+    # one ulp past pi/2 or 0, where a phase difference is a tiny negative number
+    @example((0.1, math.nextafter(math.pi / 2, 7.0), 1.0))  # triplet, player 2
+    @example((math.nextafter(math.pi / 2, 0.0), 0.1, 1.0))  # triplet, player 1
+    @example((math.nextafter(0.0, 1.0), 0.3, 1.0))  # Bayesian type II
+    @example((1e-17, 0.3, 1.0))  # Bayesian type II
     @settings(max_examples=150)
-    def test_psi_plus_reply_phases_lie_in_half_open_turn(self, triple, responder):
-        reply = analytic_best_response(responder, "psi_plus", StrategyAngles(*triple))
-        assert 0.0 <= reply.phi < 2 * math.pi and 0.0 <= reply.alpha < 2 * math.pi
+    def test_reply_phases_lie_in_half_open_turn(self, triple):
+        g = StrategyAngles(*triple)
+        replies = [analytic_best_response(r, f, g) for f in CLOSED_FORMS for r in (1, 2)]
+        for reply in replies + [bayes_best_response_2II(g)]:
+            assert 0.0 <= reply.phi < 2 * math.pi and 0.0 <= reply.alpha < 2 * math.pi
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
