@@ -117,8 +117,6 @@ def p1_given_best_responses(mu: float, g1: StrategyAngles) -> float:
     identity is player 1's global maximizer. Equals the bayes_payoffs path
     with the opponents fixed at those strategies.
     """
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu out of range [0, 1]: {mu}")
     return float(_p1_row(BayesSpec(mu), np.array([g1.as_tuple()]))[0])
 
 
@@ -148,8 +146,6 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     index. Raises ValueError when a type's candidate reply is not its best
     reply to the identity on the mesh, since the verdict then means nothing.
     """
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu out of range [0, 1]: {mu}")
     if spec is None:
         spec = BayesSpec(mu)
     elif spec.mu != mu:

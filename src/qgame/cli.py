@@ -19,6 +19,7 @@ from .entanglers import EntanglerSpec
 from .games import (
     PRISONER_DILEMMA,
     GameFormatError,
+    _read_json,
     _table_from_obj,
     final_state,
     mixed_payoff,
@@ -28,11 +29,7 @@ from .games import (
 )
 from .entanglers import build_entangler
 from .mesh import MeshSpec
-from .qutrits import (
-    _entangler_coeffs,
-    entangled_initial_state,
-    max_entangling_beta,
-)
+from .qutrits import entangled_initial_state, max_entangling_beta
 from .search import find_pure_ne, mixed_cycle, sweep_beta, threshold_beta
 from .strategies import StrategyAngles
 from . import verify as verify_mod
@@ -132,32 +129,23 @@ def cmd_sweep_beta(args) -> int:
         raise ValueError(f"--beta-steps {args.beta_steps} is more than the {MAX_BETA_STEPS} allowed")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     results = sweep_beta(game, "j1", mesh, betas)
+    fields = ("beta", "found", "i1", "i2", "p1", "p2")
+    rows = []
+    for r in results:
+        i1, i2, (p1, p2) = r.first_pair or (None, None, (None, None))
+        rows.append(dict(zip(fields, (r.beta, r.found, i1, i2, p1, p2))))
+    beta_c = threshold_beta(results)
     if args.format == "json":
-        rows = []
-        for r in results:
-            first = r.first_pair
-            rows.append(
-                {
-                    "beta": r.beta,
-                    "found": r.found,
-                    "i1": first[0] if first else None,
-                    "i2": first[1] if first else None,
-                    "p1": first[2].p1 if first else None,
-                    "p2": first[2].p2 if first else None,
-                }
-            )
-        _emit({"game": game.name, "rows": rows, "beta_c": threshold_beta(results)})
+        _emit({"game": game.name, "rows": rows, "beta_c": beta_c})
     else:
-        print("beta,found,i1,i2,p1,p2")
-        for r in results:
-            first = r.first_pair
-            if first:
-                i1, i2, pay = first
-                print(f"{_fmt(r.beta)},true,{i1},{i2},{_fmt(pay.p1)},{_fmt(pay.p2)}")
+        print(",".join(fields))
+        for row in rows:
+            beta, found, i1, i2, p1, p2 = row.values()
+            if found:
+                print(f"{_fmt(beta)},true,{i1},{i2},{_fmt(p1)},{_fmt(p2)}")
             else:
-                print(f"{_fmt(r.beta)},false,,,,")
-        bc = threshold_beta(results)
-        print(f"# beta_c = {_fmt(bc) if bc is not None else 'none'}")
+                print(f"{_fmt(beta)},false,,,,")
+        print(f"# beta_c = {_fmt(beta_c) if beta_c is not None else 'none'}")
     return 0
 
 
@@ -166,11 +154,7 @@ _BAYES_SPEC_KEYS = {"mu", "game_2I", "game_2II"}
 
 def _load_bayes_spec(path: str, mu) -> BayesSpec:
     """A BayesSpec from a JSON file {mu, game_2I, game_2II}; mu overrides the file's."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict):
         raise GameFormatError(f"{path}: top level must be an object")
     unknown = sorted(set(obj) - _BAYES_SPEC_KEYS)
@@ -180,11 +164,7 @@ def _load_bayes_spec(path: str, mu) -> BayesSpec:
     for key in ("game_2I", "game_2II"):
         if key not in obj:
             raise GameFormatError(f"{path}: missing field {key!r}")
-        table = obj[key]
-        extra = sorted(set(table) - {"name", "u1", "u2"}) if isinstance(table, dict) else []
-        if extra:
-            raise GameFormatError(f"{path}: {key}: unknown fields {extra}")
-        tables[key] = _table_from_obj(table, f"{path}: {key}")
+        tables[key] = _table_from_obj(obj[key], f"{path}: {key}")
     mu = mu if mu is not None else obj.get("mu")
     if mu is None:
         raise ValueError("mu must come from --mu or the --spec file")
@@ -242,8 +222,8 @@ def cmd_qutrit(args) -> int:
         raise ValueError("provide --beta or --find-max")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    a, b = _entangler_coeffs(beta)
     amps = entangled_initial_state(beta)
+    a, b = amps[0], amps[4]
     _emit(
         {
             "beta": beta,

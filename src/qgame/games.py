@@ -203,9 +203,22 @@ def mixed_payoff(
     return PayoffPair(tot1, tot2)
 
 
-def _table_from_obj(obj: dict, source: str) -> GameTable:
+def _read_json(path: str):
+    """The parsed content of a JSON file; malformed JSON is a GameFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GameFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _table_from_obj(obj, source: str) -> GameTable:
+    """A GameTable from a parsed {"name", "u1", "u2"} object; any other field is refused."""
     if not isinstance(obj, dict):
-        raise GameFormatError(f"{source}: top level must be an object")
+        raise GameFormatError(f"{source}: must be an object")
+    unknown = sorted(set(obj) - {"name", "u1", "u2"})
+    if unknown:
+        raise GameFormatError(f"{source}: unknown fields {unknown}")
     for field in ("name", "u1", "u2"):
         if field not in obj:
             raise GameFormatError(f"{source}: missing field {field!r}")
@@ -216,12 +229,7 @@ def _table_from_obj(obj: dict, source: str) -> GameTable:
 
 def load_game(path: str) -> GameTable:
     """Load a game table from a JSON file {"name": ..., "u1": ..., "u2": ...}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return _table_from_obj(obj, str(path))
+    return _table_from_obj(_read_json(path), str(path))
 
 
 def save_game(game: GameTable, path: str) -> None:

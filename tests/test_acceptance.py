@@ -1,7 +1,7 @@
 """End-to-end acceptance gate.
 
 Each test pins one release criterion with its tolerance. Run times are
-measured with the compiled kernels warmed up once per session.
+measured after one warm-up search per session.
 """
 
 import math
@@ -44,8 +44,8 @@ FINE_MESH = MeshSpec(9, 33, 33)
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # compile/load the jitted kernels once so timed criteria measure the
-    # search, not the first-call compilation
+    # one small search first so timed criteria measure the search, not
+    # first-call costs such as lazy imports and cache warm-up
     find_pure_ne(DA_BROTHER, EntanglerSpec("j1", 0.5), MeshSpec(3, 2, 2))
 
 

@@ -1,14 +1,11 @@
 import json
 import math
-from pathlib import Path
 
 import pytest
 
 from qgame import cli
 from qgame.cli import main
 from qgame.mesh import MeshSpec
-
-DATA = Path(__file__).resolve().parents[1] / "qbench" / "data"
 
 
 def run(capsys, *argv):
@@ -86,6 +83,15 @@ class TestSearchNe:
             capsys, "search-ne", "--game", "da_brother", "--mesh", "1,1,1"
         )
         assert code == 2 and "error" in err
+
+    def test_custom_game_with_extra_field_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps({"name": "g", "u1": [[3, 0], [5, 1]], "u2": [[3, 5], [0, 1]], "u3": 1})
+        )
+        code, out, err = run(capsys, "search-ne", "--game", str(path), "--mesh", "3,3,3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "u3" in err and "Traceback" not in err
 
 
 class TestMeshBudget:
@@ -227,17 +233,48 @@ class TestBayes:
         assert code == 0 and obj["mu"] == 0.1 and obj["verdict"] == "ne_at_origin"
 
 
-    def test_spec_tables_are_used(self, capsys):
+    def test_spec_tables_are_used(self, capsys, tmp_path):
         # u1 = 5 everywhere: player 1 cannot gain by leaving the identity
-        code, out, _ = run(capsys, "bayes", "--spec", str(DATA / "bayes_const_u1.json"))
+        const = [[5, 5], [5, 5]]
+        spec = tmp_path / "bayes.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "mu": 0.3,
+                    "game_2I": {"name": "const_I", "u1": const, "u2": [[-2, -1], [-10, -5]]},
+                    "game_2II": {"name": "const_II", "u1": const, "u2": [[-2, -7], [-10, -11]]},
+                }
+            )
+        )
+        code, out, _ = run(capsys, "bayes", "--spec", str(spec))
         obj = json.loads(out)
         assert code == 0 and obj["mu"] == 0.3
         assert obj["verdict"] == "ne_at_origin"
         assert obj["origin_p1"] == pytest.approx(5.0, abs=1e-12)
 
-    def test_spec_unknown_key_exits_2(self, capsys):
-        code, _, err = run(capsys, "bayes", "--spec", str(DATA / "bayes_unknown_key.json"))
-        assert code == 2 and err.startswith("error:") and "bonus" in err
+    def test_spec_unknown_key_exits_2(self, capsys, tmp_path):
+        u1 = [[0, -10], [-1, -5]]
+        spec = tmp_path / "bayes.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "mu": 0.3,
+                    "game_2I": {"name": "type_I", "u1": u1, "u2": [[-2, -1], [-10, -5]], "bonus": 1},
+                    "game_2II": {"name": "type_II", "u1": u1, "u2": [[-2, -7], [-10, -11]]},
+                }
+            )
+        )
+        code, _, err = run(capsys, "bayes", "--spec", str(spec))
+        assert code == 2 and err.startswith("error:")
+        assert "game_2I: unknown fields ['bonus']" in err
+
+    def test_spec_table_not_an_object_exits_2(self, capsys, tmp_path):
+        table = {"name": "II", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}
+        spec = tmp_path / "bayes.json"
+        spec.write_text(json.dumps({"mu": 0.1, "game_2I": "type_I", "game_2II": table}))
+        code, _, err = run(capsys, "bayes", "--spec", str(spec))
+        assert code == 2 and "game_2I: must be an object" in err
+        assert "top level" not in err
 
     @pytest.mark.parametrize(
         "spec",

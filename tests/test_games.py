@@ -182,3 +182,15 @@ class TestGameIO:
         path.write_text('{"name": "x", "u1": [[0,"a"],[0,0]], "u2": [[0,0],[0,0]]}')
         with pytest.raises(GameFormatError, match="u1"):
             load_game(path)
+
+    def test_extra_field_is_refused(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"name": "x", "u1": [[0,0],[0,0]], "u2": [[0,0],[0,0]], "u3": 1}')
+        with pytest.raises(GameFormatError, match=r"unknown fields \['u3'\]"):
+            load_game(path)
+
+    def test_non_object_is_refused(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(GameFormatError, match="must be an object"):
+            load_game(path)
