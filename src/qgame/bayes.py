@@ -87,7 +87,9 @@ def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
 
 
 # The equilibrium-candidate opponent profile: each type's best reply to
-# player 1 playing the identity, with pole angles canonicalized.
+# player 1 playing the identity, type I the flip and type II the identity.
+# The replies computed by bayes_best_response_2I/2II carry a phase that
+# does not act at their pole; these write it as 0.
 _G2I_STAR = StrategyAngles(0.0, 0.0, math.pi)
 _G2II_STAR = StrategyAngles(0.0, 0.0, 0.0)
 

@@ -125,8 +125,8 @@ def cmd_search_ne(args) -> int:
 def cmd_sweep_beta(args) -> int:
     game = resolve_game(args.game)
     mesh = _parse_mesh(args.mesh)
-    if args.beta_steps > MAX_BETA_STEPS:
-        raise ValueError(f"--beta-steps {args.beta_steps} is more than the {MAX_BETA_STEPS} allowed")
+    if not 1 <= args.beta_steps <= MAX_BETA_STEPS:
+        raise ValueError(f"--beta-steps {args.beta_steps} is outside 1..{MAX_BETA_STEPS}")
     betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
     results = sweep_beta(game, "j1", mesh, betas)
     fields = ("beta", "found", "i1", "i2", "p1", "p2")
@@ -165,11 +165,12 @@ def _load_bayes_spec(path: str, mu) -> BayesSpec:
         if key not in obj:
             raise GameFormatError(f"{path}: missing field {key!r}")
         tables[key] = _table_from_obj(obj[key], f"{path}: {key}")
-    mu = mu if mu is not None else obj.get("mu")
+    file_mu = obj.get("mu")
+    if file_mu is not None and (isinstance(file_mu, bool) or not isinstance(file_mu, (int, float))):
+        raise GameFormatError(f"{path}: field 'mu' must be a number")
+    mu = mu if mu is not None else file_mu
     if mu is None:
         raise ValueError("mu must come from --mu or the --spec file")
-    if isinstance(mu, bool) or not isinstance(mu, (int, float)):
-        raise GameFormatError(f"{path}: field 'mu' must be a number")
     return BayesSpec(mu=float(mu), **tables)
 
 
@@ -290,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--p1",
         default=f"0,0,{math.pi / 2}",
-        help="seed strategy phi,alpha,theta; keep theta away from the poles, "
-        "where the cycle collapses onto the two pole strategies",
+        help="seed strategy phi,alpha,theta",
     )
     p.set_defaults(func=cmd_mixed_demo)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,11 +46,15 @@ class GameTable:
         for field in ("u1", "u2"):
             raw = getattr(self, field)
             try:
-                grid = tuple(tuple(float(x) for x in row) for row in raw)
-            except (TypeError, ValueError) as exc:
+                grid = tuple(tuple(row) for row in raw)
+            except TypeError as exc:
                 raise GameFormatError(f"field {field!r} is not a 2x2 number grid") from exc
             if len(grid) != 2 or any(len(row) != 2 for row in grid):
                 raise GameFormatError(f"field {field!r} must be 2x2, got {raw!r}")
+            # bool is an int, and float() would also read "04" or "1e1"
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for row in grid for x in row):
+                raise GameFormatError(f"field {field!r} has an entry that is not a number: {raw!r}")
+            grid = tuple(tuple(float(x) for x in row) for row in grid)
             if not all(math.isfinite(x) for row in grid for x in row):
                 raise GameFormatError(f"field {field!r} contains non-finite entries")
             object.__setattr__(self, field, grid)

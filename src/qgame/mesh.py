@@ -83,7 +83,12 @@ def index_to_angles(mesh: MeshSpec, index: int) -> StrategyAngles:
 
 
 def angles_to_index(mesh: MeshSpec, g: StrategyAngles, tol: float = 1e-9) -> int:
-    """Inverse of index_to_angles; the triple must lie on the mesh within tol."""
+    """Inverse of index_to_angles; the triple must lie on the mesh within tol.
+
+    At a pole (theta within tol of 0 or pi) only theta is compared: the mesh
+    holds one strategy per pole, with both phases 0, and a pole triple maps
+    to it whatever its phases.
+    """
     if g.theta <= tol:
         return 1
     if g.theta >= math.pi - tol:

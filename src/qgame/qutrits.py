@@ -95,9 +95,10 @@ def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:
 
     Solves the stacked linear system over the dim^2 matrix entries and
     returns (scalar_only, dimension) where scalar_only is true iff the
-    solution space is exactly the span of the identity. A one-dimensional
-    commutant is the executable content of Schur's lemma for an
-    irreducible set of generators.
+    solution space is exactly the span of the identity. The identity always
+    commutes, so that is dimension == 1. A one-dimensional commutant is the
+    executable content of Schur's lemma for an irreducible set of
+    generators.
     """
     eye = np.eye(dim)
     rows = []
@@ -107,17 +108,9 @@ def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:
             raise ValueError(f"generator shape {g.shape} does not match dim {dim}")
         # row-major vec: vec([A, G]) = (I kron G^T - G kron I) vec(A)
         rows.append(np.kron(eye, g.T) - np.kron(g, eye))
-    system = np.vstack(rows)
-    _, sv, vh = np.linalg.svd(system)
-    null_mask = np.concatenate([sv, np.zeros(dim * dim - len(sv))]) < 1e-10
-    dimension = int(null_mask.sum())
-    if dimension != 1:
-        return False, dimension
-    basis = vh[-1].reshape(dim, dim)
-    # scalar commutant iff the single null vector is proportional to I
-    scale = np.trace(basis) / dim
-    scalar_only = bool(np.abs(basis - scale * eye).max() < 1e-10)
-    return scalar_only, dimension
+    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    dimension = dim * dim - int((sv >= 1e-10).sum())
+    return dimension == 1, dimension
 
 
 def qutrit_tensor(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

@@ -182,24 +182,16 @@ def analytic_best_response(responder: int, form: str, g_opp: StrategyAngles) -> 
     """
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
-    return StrategyAngles(*_raw_best_response(responder, form, g_opp.as_tuple()))
-
-
-def _raw_best_response(responder: int, form: str, opp_angles):
-    """analytic_best_response as a raw angle triple.
-
-    Skips the pole canonicalization of StrategyAngles, which discards the
-    phase angles at theta in {0, pi} and can therefore lose the reply's
-    target amplitude when the reply lands on a pole.
-    """
-    phi, alpha, theta = opp_angles
+    phi, alpha, theta = g_opp.as_tuple()
     if form == "psi_plus":
-        return _psi_plus_reply(responder, phi, alpha, theta)
-    if form == "triplet":
-        if responder == 2:
-            return (_phase(math.pi / 2 - alpha), _phase(math.pi / 2 - phi), math.pi - theta)
-        return (_phase(phi - math.pi / 2), _phase(alpha + math.pi / 2), theta)
-    raise ValueError(f"unknown closed form {form!r}")
+        reply = _psi_plus_reply(responder, phi, alpha, theta)
+    elif form == "triplet" and responder == 2:
+        reply = (_phase(math.pi / 2 - alpha), _phase(math.pi / 2 - phi), math.pi - theta)
+    elif form == "triplet":
+        reply = (_phase(phi - math.pi / 2), _phase(alpha + math.pi / 2), theta)
+    else:
+        raise ValueError(f"unknown closed form {form!r}")
+    return StrategyAngles(*reply)
 
 
 def _phase(x: float) -> float:
@@ -254,12 +246,11 @@ def no_psne_certificate(
     and checks that at every pair at least one player's analytic best
     response strictly improves that player's payoff. Payoffs come from the
     payoff kernel under J1(pi/2) for "psi_plus" and J2(pi/2) for
-    "triplet", evaluated on the raw angles: the pole canonicalization of
-    StrategyAngles would discard a phase the improvement may need. For a
-    prisoner-dilemma-type table the improvement always exists because the
-    two response conditions (full squared amplitude on |01> versus on
-    |10>) cannot hold simultaneously; for a table whose mutually best
-    outcome sits at |01> the certificate fails at that settlement point.
+    "triplet". For a prisoner-dilemma-type table the improvement always
+    exists because the two response conditions (full squared amplitude on
+    |01> versus on |10>) cannot hold simultaneously; for a table whose
+    mutually best outcome sits at |01> the certificate fails at that
+    settlement point.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -272,8 +263,12 @@ def no_psne_certificate(
     high = (TWO_PI, TWO_PI, math.pi) * 2
     pairs = np.vstack([corners, rng.uniform(0.0, high, size=(samples, 6))])
     g1, g2 = pairs[:, :3], pairs[:, 3:]
-    reply1 = np.array([_raw_best_response(1, form, g) for g in g2.tolist()])
-    reply2 = np.array([_raw_best_response(2, form, g) for g in g1.tolist()])
+
+    def reply(responder, g):
+        return analytic_best_response(responder, form, StrategyAngles(*g)).as_tuple()
+
+    reply1 = np.array([reply(1, g) for g in g2.tolist()])
+    reply2 = np.array([reply(2, g) for g in g1.tolist()])
     j = build_entangler(EntanglerSpec(_CERTIFICATE_FAMILY[form], math.pi / 2))
     u = game.outcome_payoffs()
     now1, now2 = _kernels.pair_payoffs(g1, g2, j, u)

@@ -15,18 +15,16 @@ import numpy as np
 from .linalg import GELL_MANN, expm_structured
 
 TWO_PI = 2.0 * math.pi
-_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class StrategyAngles:
     """Euler angle triple (phi, alpha, theta) of a single-qubit strategy.
 
-    Ranges: phi, alpha in [0, 2*pi], theta in [0, pi]. The endpoints 0 and
-    2*pi are kept distinct. At the poles theta=0 and theta=pi the strategy
-    is conventionally unique, so phi and alpha are canonicalized to 0 there
-    and two pole strategies compare equal regardless of the submitted
-    phi, alpha.
+    Ranges: phi, alpha in [0, 2*pi], theta in [0, pi]. The triple is kept
+    as given, the endpoints 0 and 2*pi distinct. At the poles one phase
+    still acts: theta=0 gives diag(e^{i phi}, e^{-i phi}) and theta=pi the
+    off-diagonal [[0, e^{i alpha}], [-e^{-i alpha}, 0]].
     """
 
     phi: float
@@ -40,9 +38,6 @@ class StrategyAngles:
             raise ValueError(f"alpha out of range [0, 2*pi]: {self.alpha}")
         if not (0.0 <= self.theta <= math.pi):
             raise ValueError(f"theta out of range [0, pi]: {self.theta}")
-        if self.theta < _POLE_TOL or self.theta > math.pi - _POLE_TOL:
-            object.__setattr__(self, "phi", 0.0)
-            object.__setattr__(self, "alpha", 0.0)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.alpha, self.theta)

@@ -21,7 +21,7 @@ from qgame.bayes import (
 from qgame.games import GameTable, closed_form_sq_amplitudes
 from qgame.mesh import MeshSpec
 from qgame.search import analytic_best_response
-from qgame.strategies import StrategyAngles
+from qgame.strategies import StrategyAngles, classical_gate, su2_from_angles
 
 GRID = MeshSpec(9, 17, 17)
 ORIGIN = StrategyAngles(0, 0, 0)
@@ -78,8 +78,13 @@ class TestBestResponses:
         assert bayes_best_response_2I(g1) == analytic_best_response(2, "psi_plus", g1)
 
     def test_replies_to_identity(self):
-        assert bayes_best_response_2I(ORIGIN) == StrategyAngles(0, 0, math.pi)
-        assert bayes_best_response_2II(ORIGIN) == StrategyAngles(0, 0, 0)
+        # type I flips and type II keeps; each reply carries a phase that
+        # does not act at its pole
+        flip, keep = bayes_best_response_2I(ORIGIN), bayes_best_response_2II(ORIGIN)
+        assert flip.as_tuple() == (3 * math.pi / 2, 0.0, math.pi)
+        assert keep.as_tuple() == (0.0, 3 * math.pi / 2, 0.0)
+        assert np.abs(su2_from_angles(flip) - classical_gate("Y")).max() <= 1e-15
+        assert np.array_equal(su2_from_angles(keep), classical_gate("I"))
 
 
 class TestPayoffSurface:

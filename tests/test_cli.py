@@ -33,6 +33,27 @@ class TestPayoff:
         assert obj["payoffs"] == [-4.0, -4.0]
         assert obj["sq_amplitudes"][0] == pytest.approx(1.0)
 
+    def test_pole_phases_are_played(self, capsys):
+        # the figures of qbench/reference.py, which shares no code with qgame
+        code, out, _ = run(
+            capsys,
+            "payoff",
+            "--game",
+            "da_brother",
+            "--entangler",
+            "j2",
+            "--beta",
+            "0.4",
+            "--p1",
+            "0.3,1.1,0",
+            "--p2",
+            f"4.0,5.0,{math.pi}",
+        )
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["p1_angles"] == [0.3, 1.1, 0.0]
+        assert obj["payoffs"] == [-9.766971496550703, -1.1864228027594366]
+
     def test_bad_angle_string_exits_2(self, capsys):
         code, _, err = run(
             capsys, "payoff", "--game", "prisoner_dilemma", "--p1", "0,0", "--p2", "0,0,0"
@@ -93,6 +114,14 @@ class TestSearchNe:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "u3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("u1", [["04", "25"], [[0, "4"], [2, 5]], [[True, 0], [0, 0]], [["1e1", 0], [0, 0]]])
+    def test_custom_game_with_non_number_entry_exits_2(self, capsys, tmp_path, u1):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"name": "g", "u1": u1, "u2": [[3, 5], [0, 1]]}))
+        code, out, err = run(capsys, "search-ne", "--game", str(path), "--mesh", "3,3,3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "u1" in err and "Traceback" not in err
+
 
 class TestMeshBudget:
     # arithmetic only: a refused mesh must fail before any array is allocated
@@ -140,7 +169,15 @@ class TestBetaStepBudget:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(steps) in err
 
-    @pytest.mark.parametrize("steps", [32, 801, cli.MAX_BETA_STEPS])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_step_count_below_one_exits_2(self, capsys, steps):
+        code, out, err = run(
+            capsys, "sweep-beta", "--game", "da_brother", "--mesh", "3,3,3", "--beta-steps", str(steps)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(steps) in err
+
+    @pytest.mark.parametrize("steps", [1, 32, 801, cli.MAX_BETA_STEPS])
     def test_accepted_step_counts_reach_the_sweep(self, capsys, monkeypatch, steps):
         monkeypatch.setattr("qgame.cli.sweep_beta", lambda game, family, mesh, betas: [])
         code, _, _ = run(
@@ -293,6 +330,25 @@ class TestBayes:
         code, _, err = run(capsys, "bayes", "--spec", str(path))
         assert code == 2 and err.startswith("error:")
 
+    def test_spec_mu_checked_when_mu_flag_given(self, capsys, tmp_path):
+        table = {"name": "I", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({"mu": "high", "game_2I": table, "game_2II": table}))
+        code, out, err = run(capsys, "bayes", "--spec", str(path), "--mu", "0.1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "'mu' must be a number" in err
+
+    def test_mu_flag_overrides_spec_mu(self, capsys, tmp_path):
+        types = {
+            "game_2I": {"name": "I", "u1": [[0, -10], [-1, -5]], "u2": [[-2, -1], [-10, -5]]},
+            "game_2II": {"name": "II", "u1": [[0, -10], [-1, -5]], "u2": [[-2, -7], [-10, -11]]},
+        }
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({"mu": 0.1, **types}))
+        code, out, _ = run(capsys, "bayes", "--spec", str(path), "--mu", "0.5")
+        obj = json.loads(out)
+        assert code == 0 and obj["mu"] == 0.5 and obj["verdict"] == "no_ne"
+
     def test_spec_with_wrong_candidate_reply_exits_2(self, capsys, tmp_path):
         # type II given type I's table flips in reply to the identity
         table = {"name": "I", "u1": [[0, -10], [-1, -5]], "u2": [[-2, -1], [-10, -5]]}
@@ -309,6 +365,12 @@ class TestMixedDemo:
         assert code == 0
         assert obj["average_payoffs"][0] == pytest.approx(-4.0, abs=1e-12)
         assert obj["average_payoffs"][1] == pytest.approx(-4.0, abs=1e-12)
+
+    def test_pole_seed_pays_the_same(self, capsys):
+        code, out, _ = run(capsys, "mixed-demo", "--p1", "0,0,0")
+        obj = json.loads(out)
+        assert code == 0 and obj["g1"] == [0.0, 0.0, 0.0]
+        assert obj["average_payoffs"] == pytest.approx([-4.0, -4.0], abs=1e-12)
 
 
 class TestQutrit:

@@ -54,11 +54,24 @@ class TestGameTable:
 
     @pytest.mark.parametrize(
         "u1",
-        [((1, 2), (3,)), ((1, 2),), (("a", 2), (3, 4)), ((math.inf, 2), (3, 4))],
+        [
+            ((1, 2), (3,)),
+            ((1, 2),),
+            (("a", 2), (3, 4)),
+            ((math.inf, 2), (3, 4)),
+            (("1", 2), (3, 4)),
+            ((True, 2), (3, 4)),
+            ("04", "25"),
+            ((1j, 2), (3, 4)),
+        ],
     )
     def test_rejects_malformed_grid(self, u1):
         with pytest.raises(GameFormatError):
             GameTable(name="bad", u1=u1, u2=((0, 0), (0, 0)))
+
+    def test_accepts_numpy_numbers(self):
+        game = GameTable(name="np", u1=np.array([[0, -10], [-1, -5]]), u2=((np.float64(-2.5), -1), (-10, -5)))
+        assert game.u1 == ((0.0, -10.0), (-1.0, -5.0)) and game.u2[0] == (-2.5, -1.0)
 
 
 class TestFinalState:
@@ -181,6 +194,20 @@ class TestGameIO:
         path = tmp_path / "g.json"
         path.write_text('{"name": "x", "u1": [[0,"a"],[0,0]], "u2": [[0,0],[0,0]]}')
         with pytest.raises(GameFormatError, match="u1"):
+            load_game(path)
+
+    @pytest.mark.parametrize("entry", ['"4"', "true", '"1e1"', "null"])
+    def test_non_number_entry_is_refused(self, tmp_path, entry):
+        path = tmp_path / "g.json"
+        path.write_text(f'{{"name": "x", "u1": [[0,{entry}],[0,0]], "u2": [[0,0],[0,0]]}}')
+        with pytest.raises(GameFormatError, match="u1"):
+            load_game(path)
+
+    def test_string_rows_are_refused(self, tmp_path):
+        # "04" is a sequence of two characters, not the row (0, 4)
+        path = tmp_path / "g.json"
+        path.write_text('{"name": "x", "u1": ["04", "25"], "u2": [[0,0],[0,0]]}')
+        with pytest.raises(GameFormatError, match="not a number"):
             load_game(path)
 
     def test_extra_field_is_refused(self, tmp_path):

@@ -25,11 +25,13 @@ class TestStrategyAngles:
         g = StrategyAngles(0.3, 1.2, 2.0)
         assert g.as_tuple() == (0.3, 1.2, 2.0)
 
-    def test_pole_canonicalization(self):
-        assert StrategyAngles(1.0, 2.0, 0.0) == StrategyAngles(3.0, 4.0, 0.0)
-        assert StrategyAngles(1.0, 2.0, math.pi) == StrategyAngles(0.5, 0.1, math.pi)
-        assert StrategyAngles(1.0, 2.0, 0.0).phi == 0.0
-        assert StrategyAngles(1.0, 2.0, 0.0).alpha == 0.0
+    def test_phases_kept_at_poles(self):
+        assert StrategyAngles(1.0, 2.0, 0.0).as_tuple() == (1.0, 2.0, 0.0)
+        assert StrategyAngles(1.0, 2.0, math.pi).as_tuple() == (1.0, 2.0, math.pi)
+        assert StrategyAngles(1.0, 2.0, 0.0) != StrategyAngles(3.0, 4.0, 0.0)
+        # at theta=0 phi acts: diag(e^{i phi}, e^{-i phi})
+        u = su2_from_angles(StrategyAngles(1.0, 2.0, 0.0))
+        assert np.allclose(u, np.diag([np.exp(1j), np.exp(-1j)]), atol=1e-15)
 
     def test_interior_not_canonicalized(self):
         g = StrategyAngles(1.0, 2.0, 1.5)
