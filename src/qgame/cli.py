@@ -19,6 +19,7 @@ from .entanglers import EntanglerSpec
 from .games import (
     PRISONER_DILEMMA,
     GameFormatError,
+    _check_object,
     _read_json,
     _table_from_obj,
     final_state,
@@ -149,22 +150,11 @@ def cmd_sweep_beta(args) -> int:
     return 0
 
 
-_BAYES_SPEC_KEYS = {"mu", "game_2I", "game_2II"}
-
-
 def _load_bayes_spec(path: str, mu) -> BayesSpec:
     """A BayesSpec from a JSON file {mu, game_2I, game_2II}; mu overrides the file's."""
     obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise GameFormatError(f"{path}: top level must be an object")
-    unknown = sorted(set(obj) - _BAYES_SPEC_KEYS)
-    if unknown:
-        raise GameFormatError(f"{path}: unknown fields {unknown}")
-    tables = {}
-    for key in ("game_2I", "game_2II"):
-        if key not in obj:
-            raise GameFormatError(f"{path}: missing field {key!r}")
-        tables[key] = _table_from_obj(obj[key], f"{path}: {key}")
+    _check_object(obj, path, ("game_2I", "game_2II"), ("mu",))
+    tables = {key: _table_from_obj(obj[key], f"{path}: {key}") for key in ("game_2I", "game_2II")}
     file_mu = obj.get("mu")
     if file_mu is not None and (isinstance(file_mu, bool) or not isinstance(file_mu, (int, float))):
         raise GameFormatError(f"{path}: field 'mu' must be a number")
@@ -177,17 +167,15 @@ def _load_bayes_spec(path: str, mu) -> BayesSpec:
 def cmd_bayes(args) -> int:
     if args.spec is not None:
         spec = _load_bayes_spec(args.spec, args.mu)
-        mu = spec.mu
+    elif args.mu is None:
+        raise ValueError("--mu is required")
     else:
-        if args.mu is None:
-            raise ValueError("--mu is required")
-        mu = args.mu
-        spec = None
+        spec = BayesSpec(args.mu)
     mesh = _parse_mesh(args.mesh)
-    verdict = bayes_ne_check(mu, mesh, spec)
+    verdict = bayes_ne_check(spec.mu, mesh, spec)
     _emit(
         {
-            "mu": mu,
+            "mu": spec.mu,
             "verdict": verdict.verdict,
             "origin_p1": verdict.origin_p1,
             "max_p1": verdict.max_p1,
@@ -218,11 +206,9 @@ def cmd_mixed_demo(args) -> int:
 
 
 def cmd_qutrit(args) -> int:
+    if (args.beta is None) != args.find_max:
+        raise ValueError("give exactly one of --beta and --find-max")
     beta = max_entangling_beta() if args.find_max else args.beta
-    if beta is None:
-        raise ValueError("provide --beta or --find-max")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
     amps = entangled_initial_state(beta)
     a, b = amps[0], amps[4]
     _emit(

@@ -58,6 +58,14 @@ def build_entangler(spec: EntanglerSpec) -> np.ndarray:
     )
 
 
+def entangler_matrix(j) -> np.ndarray:
+    """j as a complex array; ValueError unless it is a unitary 4x4 matrix."""
+    j = np.asarray(j, dtype=complex)
+    if j.shape != (4, 4) or not is_unitary(j):
+        raise ValueError("entangler must be a unitary 4x4 matrix")
+    return j
+
+
 def bell_state(which: str) -> np.ndarray:
     """One of the four maximally entangled Bell states as a 4-vector.
 

@@ -18,10 +18,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import dagger, is_unitary, tensor
+from .entanglers import entangler_matrix
+from .linalg import dagger, tensor
 from .strategies import StrategyAngles, su2_from_angles
 
-CLOSED_FORMS = ("psi_plus", "triplet")
+# Each closed form and the entangler family whose maximal entanglement
+# (beta = pi/2) it describes; see closed_form_sq_amplitudes.
+CLOSED_FORMS = {"psi_plus": "j1", "triplet": "j2"}
 
 
 class GameFormatError(ValueError):
@@ -87,10 +90,8 @@ BUILTIN_GAMES = {g.name: g for g in (PRISONER_DILEMMA, DA_BROTHER)}
 
 
 def final_state(j: np.ndarray, g1: StrategyAngles, g2: StrategyAngles) -> np.ndarray:
-    """Final four amplitudes of the protocol: J^dag (U1 x U2) J |00>."""
-    j = np.asarray(j, dtype=complex)
-    if not is_unitary(j):
-        raise ValueError("entangler must be a unitary 4x4 matrix")
+    """Final four amplitudes J^dag (U1 x U2) J |00>; ValueError unless j is a unitary 4x4 matrix."""
+    j = entangler_matrix(j)
     u = tensor(su2_from_angles(g1), su2_from_angles(g2))
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
@@ -178,7 +179,7 @@ class MixedStrategy:
         support = tuple((g, float(p)) for g, p in self.support)
         if not support:
             raise ValueError("mixed strategy needs a non-empty support")
-        if any(p < 0 or p > 1 for _, p in support):
+        if not all(0 <= p <= 1 for _, p in support):
             raise ValueError("probabilities must lie in [0, 1]")
         total = sum(p for _, p in support)
         if abs(total - 1.0) > 1e-12:
@@ -191,8 +192,8 @@ class MixedStrategy:
 
     @classmethod
     def uniform(cls, gs: Sequence[StrategyAngles]) -> "MixedStrategy":
-        p = 1.0 / len(gs)
-        return cls(tuple((g, p) for g in gs))
+        # an empty gs gives an empty support, which __post_init__ refuses
+        return cls(tuple((g, 1.0 / len(gs)) for g in gs))
 
 
 def mixed_payoff(
@@ -217,16 +218,23 @@ def _read_json(path: str):
             raise GameFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _table_from_obj(obj, source: str) -> GameTable:
-    """A GameTable from a parsed {"name", "u1", "u2"} object; any other field is refused."""
+def _check_object(obj, source: str, required, optional=()) -> None:
+    """GameFormatError unless parsed JSON obj is an object with every required
+    field and no field outside required and optional.
+    """
     if not isinstance(obj, dict):
         raise GameFormatError(f"{source}: must be an object")
-    unknown = sorted(set(obj) - {"name", "u1", "u2"})
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise GameFormatError(f"{source}: unknown fields {unknown}")
-    for field in ("name", "u1", "u2"):
+    for field in required:
         if field not in obj:
             raise GameFormatError(f"{source}: missing field {field!r}")
+
+
+def _table_from_obj(obj, source: str) -> GameTable:
+    """A GameTable from a parsed {"name", "u1", "u2"} object; any other field is refused."""
+    _check_object(obj, source, ("name", "u1", "u2"))
     if not isinstance(obj["name"], str):
         raise GameFormatError(f"{source}: field 'name' must be a string")
     return GameTable(name=obj["name"], u1=obj["u1"], u2=obj["u2"])

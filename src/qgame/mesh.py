@@ -22,6 +22,7 @@ class and expands its results back to every mesh index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ class MeshSpec:
     n_alpha: int
 
     def __post_init__(self):
+        for n in (self.n_theta, self.n_phi, self.n_alpha):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"mesh sizes must be integers, got {n!r}")
         if self.n_theta < 3:
             raise ValueError("n_theta must be at least 3")
         if self.n_phi < 1 or self.n_alpha < 1:
@@ -85,14 +89,16 @@ def index_to_angles(mesh: MeshSpec, index: int) -> StrategyAngles:
 def angles_to_index(mesh: MeshSpec, g: StrategyAngles, tol: float = 1e-9) -> int:
     """Inverse of index_to_angles; the triple must lie on the mesh within tol.
 
-    At a pole (theta within tol of 0 or pi) only theta is compared: the mesh
-    holds one strategy per pole, with both phases 0, and a pole triple maps
-    to it whatever its phases.
+    The mesh holds one strategy per pole, with both phases 0. A triple with
+    theta within tol of a pole maps to it when the phase that acts there is
+    0 mod 2*pi within tol: phi at theta=0 and alpha at theta=pi (the other
+    phase drops out of the matrix). Any other pole triple is off the mesh.
     """
-    if g.theta <= tol:
-        return 1
-    if g.theta >= math.pi - tol:
-        return mesh.n_strategies
+    if g.theta <= tol or g.theta >= math.pi - tol:
+        index, phase = (1, g.phi) if g.theta <= tol else (mesh.n_strategies, g.alpha)
+        if min(phase, TWO_PI - phase) > tol:
+            raise ValueError(f"angles {g} do not lie on the mesh")
+        return index
     k_theta = round(g.theta * (mesh.n_theta - 1) / math.pi)
     k_phi = 0 if mesh.n_phi == 1 else round(g.phi * (mesh.n_phi - 1) / TWO_PI)
     k_alpha = 0 if mesh.n_alpha == 1 else round(g.alpha * (mesh.n_alpha - 1) / TWO_PI)

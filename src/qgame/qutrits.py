@@ -57,19 +57,21 @@ def _entangler_coeffs(beta: float) -> tuple[complex, complex]:
     a = exp(-i beta) (exp(3 i beta) + 2) / 3 and
     b = exp(-i beta) (exp(3 i beta) - 1) / 3.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     e3 = cmath.exp(3j * beta)
     em = cmath.exp(-1j * beta)
     return em * (e3 + 2.0) / 3.0, em * (e3 - 1.0) / 3.0
 
 
 def qutrit_entangler(beta: float) -> np.ndarray:
-    """The two-qutrit entangler J(beta) = exp(i beta Z), unitary for all beta."""
+    """The two-qutrit entangler J(beta) = exp(i beta Z), unitary; ValueError unless beta is finite."""
     a, b = _entangler_coeffs(beta)
     return a * np.eye(9, dtype=complex) + b * build_Z()
 
 
 def entangled_initial_state(beta: float) -> np.ndarray:
-    """J(beta)|00> = a|00> + b|11> + b|22>."""
+    """J(beta)|00> = a|00> + b|11> + b|22>; a non-finite beta raises ValueError."""
     a, b = _entangler_coeffs(beta)
     out = np.zeros(9, dtype=complex)
     out[0] = a

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .entanglers import EntanglerSpec, build_entangler
-from .games import PRISONER_DILEMMA, GameTable, PayoffPair, closed_form_sq_amplitudes
-from .linalg import is_unitary
+from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
+from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair, closed_form_sq_amplitudes
 from .mesh import MeshSpec, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
 
@@ -35,16 +34,6 @@ class NeResult:
     @property
     def first_pair(self):
         return self.pairs[0] if self.pairs else None
-
-
-def _entangler(spec_or_j) -> np.ndarray:
-    """The 4x4 J of an EntanglerSpec, or an explicit unitary 4x4 J as a complex array."""
-    if isinstance(spec_or_j, EntanglerSpec):
-        return build_entangler(spec_or_j)
-    j = np.asarray(spec_or_j, dtype=complex)
-    if j.shape != (4, 4) or not is_unitary(j):
-        raise ValueError("entangler must be a unitary 4x4 matrix")
-    return j
 
 
 @dataclass(frozen=True)
@@ -95,7 +84,9 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
     layout = _class_layout(mesh)
-    j = _entangler(spec_or_j)
+    if isinstance(spec_or_j, EntanglerSpec):
+        spec_or_j = build_entangler(spec_or_j)
+    j = entangler_matrix(spec_or_j)
     angles = layout.rep_angles
     u = game.outcome_payoffs()[responder - 1]
     class_sets = [set() for _ in layout.members]
@@ -232,11 +223,6 @@ def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: 
     return closed_form_sq_amplitudes(form, g_resp, g_opp)[2]
 
 
-# The entangler whose maximal entanglement each closed form describes
-# (see closed_form_sq_amplitudes).
-_CERTIFICATE_FAMILY = {"psi_plus": "j1", "triplet": "j2"}
-
-
 def no_psne_certificate(
     form: str, samples: int, game: GameTable = PRISONER_DILEMMA, seed: int = 0
 ) -> bool:
@@ -254,7 +240,7 @@ def no_psne_certificate(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if form not in _CERTIFICATE_FAMILY:
+    if form not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {form!r}")
     rng = np.random.default_rng(seed)
     # rows (g1, g2): the corner pairs, then samples drawn in the order
@@ -269,7 +255,7 @@ def no_psne_certificate(
 
     reply1 = np.array([reply(1, g) for g in g2.tolist()])
     reply2 = np.array([reply(2, g) for g in g1.tolist()])
-    j = build_entangler(EntanglerSpec(_CERTIFICATE_FAMILY[form], math.pi / 2))
+    j = build_entangler(EntanglerSpec(CLOSED_FORMS[form], math.pi / 2))
     u = game.outcome_payoffs()
     now1, now2 = _kernels.pair_payoffs(g1, g2, j, u)
     improves1 = _kernels.pair_payoffs(reply1, g2, j, u[0]) > now1 + 1e-12

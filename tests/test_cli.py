@@ -305,6 +305,13 @@ class TestBayes:
         assert code == 2 and err.startswith("error:")
         assert "game_2I: unknown fields ['bonus']" in err
 
+    def test_spec_not_an_object_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "bayes.json"
+        spec.write_text("[1, 2]")
+        code, out, err = run(capsys, "bayes", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{spec}: must be an object" in err
+
     def test_spec_table_not_an_object_exits_2(self, capsys, tmp_path):
         table = {"name": "II", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}
         spec = tmp_path / "bayes.json"
@@ -389,6 +396,11 @@ class TestQutrit:
     def test_missing_beta_exits_2(self, capsys):
         code, _, err = run(capsys, "qutrit-entangler")
         assert code == 2 and "error" in err
+
+    def test_beta_with_find_max_exits_2(self, capsys):
+        code, out, err = run(capsys, "qutrit-entangler", "--beta", "0.3", "--find-max")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
     def test_non_finite_beta_exits_2(self, capsys, beta):

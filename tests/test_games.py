@@ -93,6 +93,11 @@ class TestFinalState:
         with pytest.raises(ValueError):
             final_state(np.ones((4, 4)), ORIGIN, ORIGIN)
 
+    def test_rejects_wrong_shape(self):
+        # a unitary 3x3 is no two-qubit entangler
+        with pytest.raises(ValueError, match="entangler must be a unitary 4x4 matrix"):
+            final_state(np.eye(3), ORIGIN, ORIGIN)
+
     @given(angle_triples, angle_triples, st.floats(0, math.pi / 2))
     @settings(max_examples=80)
     def test_norm_conserved(self, t1, t2, beta):
@@ -156,6 +161,16 @@ class TestMixedStrategy:
             MixedStrategy(((ORIGIN, -0.5), (FLIP, 1.5)))
         with pytest.raises(ValueError):
             MixedStrategy(())
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError):
+            MixedStrategy(((ORIGIN, math.nan), (FLIP, 1.0)))
+        with pytest.raises(ValueError):
+            MixedStrategy(((ORIGIN, math.nan),))
+
+    def test_uniform_needs_a_strategy(self):
+        with pytest.raises(ValueError, match="non-empty support"):
+            MixedStrategy.uniform([])
 
     def test_mixed_payoff_averages(self):
         m1 = MixedStrategy.uniform([ORIGIN, FLIP])

@@ -29,6 +29,16 @@ class TestMeshSpec:
         with pytest.raises(ValueError):
             MeshSpec(9, 0, 17)
 
+    @pytest.mark.parametrize("dims", [(9, 16.5, 17), (9.0, 17, 17), (9, 17, "17"), (9, True, 17)])
+    def test_sizes_must_be_integers(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            MeshSpec(*dims)
+
+    def test_numpy_integer_sizes_accepted(self):
+        mesh = MeshSpec(np.int64(9), np.int32(17), np.int16(17))
+        assert mesh.n_strategies == 2025
+        assert index_to_angles(mesh, 5) == index_to_angles(MeshSpec(9, 17, 17), 5)
+
     def test_axis_values(self):
         mesh = MeshSpec(9, 17, 17)
         assert mesh.theta_value(0) == 0.0
@@ -64,6 +74,21 @@ class TestIndexing:
         mesh = MeshSpec(9, 17, 17)
         with pytest.raises(ValueError):
             angles_to_index(mesh, StrategyAngles(0.1234, 0.0, math.pi / 8))
+
+    @pytest.mark.parametrize(
+        "angles, index",
+        [((0, 1.3, 0), 1), ((2 * math.pi, 0.4, 0), 1), ((0.7, 2 * math.pi, math.pi), 2025)],
+    )
+    def test_pole_maps_when_its_acting_phase_is_zero(self, angles, index):
+        # alpha drops out at theta=0 and phi at theta=pi
+        assert angles_to_index(MeshSpec(9, 17, 17), StrategyAngles(*angles)) == index
+
+    @pytest.mark.parametrize(
+        "angles", [(0, math.pi / 2, math.pi), (3 * math.pi / 2, 0, 0), (math.pi, 0, 0)]
+    )
+    def test_pole_with_acting_phase_rejected(self, angles):
+        with pytest.raises(ValueError):
+            angles_to_index(MeshSpec(9, 17, 17), StrategyAngles(*angles))
 
     @given(mesh_specs, st.data())
     @settings(max_examples=100)

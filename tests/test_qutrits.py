@@ -79,12 +79,20 @@ class TestEntangler:
     def test_identity_at_zero(self):
         assert np.allclose(qutrit_entangler(0.0), np.eye(9))
 
-    def test_matches_scipy_expm(self):
-        from scipy.linalg import expm
-
+    def test_matches_eigh_expm(self):
+        # exp(i beta Z) from the eigendecomposition of the real symmetric Z,
+        # independent of the Z^2 = Z + 2I closed form
+        lam, v = np.linalg.eigh(build_Z())
         for beta in (0.3, 1.0, 2.0):
-            want = expm(1j * beta * build_Z())
+            want = (v * np.exp(1j * beta * lam)) @ v.T
             assert np.abs(qutrit_entangler(beta) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_beta_refused(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            qutrit_entangler(beta)
+        with pytest.raises(ValueError, match="finite"):
+            entangled_initial_state(beta)
 
     @given(st.floats(0, math.pi / 3))
     @settings(max_examples=50)

@@ -388,8 +388,12 @@ class TestMixedCycle:
         assert abs(g1p.theta - 0.0) < 1e-12
         assert abs(g2p.theta - math.pi) < 1e-12
 
-    def test_cycle_stays_on_small_mesh_for_origin(self):
+    def test_origin_cycle_against_small_mesh(self):
+        # g2 = (3pi/2, 0, pi) is the theta=pi pole of the mesh; g1' = diag(-i, i)
+        # and g2' = [[0, -i], [-i, 0]] have acting pole phases, so lie on no mesh
         mesh = MeshSpec(9, 17, 17)
-        g1 = StrategyAngles(0, 0, 0)
-        for g in mixed_cycle(g1):
-            assert 1 <= angles_to_index(mesh, g) <= mesh.n_strategies
+        g2, g1p, g2p = mixed_cycle(StrategyAngles(0, 0, 0))
+        assert angles_to_index(mesh, g2) == mesh.n_strategies
+        for g in (g1p, g2p):
+            with pytest.raises(ValueError):
+                angles_to_index(mesh, g)
