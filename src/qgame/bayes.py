@@ -3,8 +3,8 @@
 Player 2 is one of two types: with probability mu the harsh type (whose
 payoff table punishes mutual silence more), with probability 1-mu the mild
 type. Player 1 plays one strategy against both; each type best-responds to
-it. The game is played under J1 at maximal entanglement: bayes_payoffs
-evaluates its closed-form amplitudes, the grid check the payoff kernel.
+it. The game is played under J1 at maximal entanglement, and every payoff,
+of one profile or of a whole mesh, comes from the payoff kernel in _kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
-from .games import GameTable, closed_form_sq_amplitudes
+from .games import GameTable
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
 from .search import TIE_TOL, _phase, analytic_best_response
 from .strategies import StrategyAngles
@@ -67,12 +67,8 @@ def bayes_payoffs(spec: BayesSpec, prof: BayesProfile) -> BayesPayoffs:
     Each type's payoff comes from their own matchup with player 1;
     player 1's payoff mu-averages their payoffs across the two matchups.
     """
-    w_i = np.array(closed_form_sq_amplitudes("psi_plus", prof.g1, prof.g2I))
-    w_ii = np.array(closed_form_sq_amplitudes("psi_plus", prof.g1, prof.g2II))
-    u_i = spec.game_2I.outcome_payoffs()
-    u_ii = spec.game_2II.outcome_payoffs()
-    p1 = spec.mu * float(w_i @ u_i[0]) + (1.0 - spec.mu) * float(w_ii @ u_ii[0])
-    return BayesPayoffs(p1, float(w_i @ u_i[1]), float(w_ii @ u_ii[1]))
+    p1, p2i, p2ii = _type_payoffs(spec, np.array([prof.g1.as_tuple()]), prof.g2I, prof.g2II)
+    return BayesPayoffs(float(p1[0]), float(p2i[0]), float(p2ii[0]))
 
 
 def bayes_best_response_2I(g1: StrategyAngles) -> StrategyAngles:
@@ -98,17 +94,16 @@ _IDENTITY = np.zeros((1, 3))
 _ROUNDING = 1e-12  # payoffs equal up to rounding count as tied
 
 
-def _types(spec: BayesSpec):
-    return ((spec.mu, spec.game_2I, _G2I_STAR), (1.0 - spec.mu, spec.game_2II, _G2II_STAR))
+def _type_payoffs(spec: BayesSpec, angles: np.ndarray, g2I: StrategyAngles, g2II: StrategyAngles):
+    """(p1 weighted by mu, p2I, p2II), one entry per row of player 1's angles.
 
-
-def _p1_row(spec: BayesSpec, angles: np.ndarray) -> np.ndarray:
-    """Player 1's mu-weighted payoff for each row of angles against the candidate replies."""
-    total = np.zeros(angles.shape[0])
-    for weight, game, reply in _types(spec):
-        reply_angles = np.array([reply.as_tuple()])
-        total += weight * _kernels.payoff_block(angles, reply_angles, _J_MAX, game.outcome_payoffs()[0])[:, 0]
-    return total
+    One kernel call per type gives both players' payoffs of that matchup.
+    """
+    (p1_i, p2_i), (p1_ii, p2_ii) = (
+        _kernels.payoff_block(angles, np.array([g2.as_tuple()]), _J_MAX, game.outcome_payoffs())[..., 0]
+        for game, g2 in ((spec.game_2I, g2I), (spec.game_2II, g2II))
+    )
+    return spec.mu * p1_i + (1.0 - spec.mu) * p1_ii, p2_i, p2_ii
 
 
 def p1_given_best_responses(mu: float, g1: StrategyAngles) -> float:
@@ -116,10 +111,10 @@ def p1_given_best_responses(mu: float, g1: StrategyAngles) -> float:
 
     Both opponent types hold the strategies that best-respond to the
     identity; the resulting payoff surface over g1 decides whether the
-    identity is player 1's global maximizer. Equals the bayes_payoffs path
-    with the opponents fixed at those strategies.
+    identity is player 1's global maximizer. This is bayes_payoffs of the
+    candidate profile.
     """
-    return float(_p1_row(BayesSpec(mu), np.array([g1.as_tuple()]))[0])
+    return bayes_payoffs(BayesSpec(mu), candidate_profile(g1)).p1
 
 
 def candidate_profile(g1: StrategyAngles) -> BayesProfile:
@@ -153,7 +148,7 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     elif spec.mu != mu:
         raise ValueError(f"mu {mu} differs from the spec's mu {spec.mu}")
     angles = mesh_angle_array(grid)
-    for _, game, reply in _types(spec):
+    for game, reply in ((spec.game_2I, _G2I_STAR), (spec.game_2II, _G2II_STAR)):
         # the reply's payoff first, then every mesh strategy's
         replies = np.vstack([reply.as_tuple(), angles])
         p2 = _kernels.payoff_block(_IDENTITY, replies, _J_MAX, game.outcome_payoffs()[1])[0]
@@ -162,7 +157,7 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
                 f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "
                 "response to the identity on the mesh"
             )
-    p1 = _p1_row(spec, angles)
+    p1 = _type_payoffs(spec, angles, _G2I_STAR, _G2II_STAR)[0]
     origin = float(p1[0])  # index 1 is the theta=0 pole, the identity
     best = float(p1.max())
     # the lowest index attaining the maximum, up to rounding

@@ -110,11 +110,10 @@ def is_classically_commensurate(j: np.ndarray, tol: float = DEFAULT_TOL) -> bool
 
     This is the condition under which the pair of classical gates {I, Y}
     played inside the quantum protocol reproduces the classical game
-    outcomes. Non-unitary J is rejected.
+    outcomes. J must pass entangler_matrix (ValueError otherwise); tol
+    bounds only the commutator.
     """
-    j = np.asarray(j, dtype=complex)
-    if not is_unitary(j, max(tol, DEFAULT_TOL)):
-        raise ValueError("entangler must be unitary")
+    j = entangler_matrix(j)
     return bool(np.abs(commutator(Y_TENSOR_Y, j)).max() <= tol)
 
 

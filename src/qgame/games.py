@@ -111,28 +111,28 @@ def closed_form_sq_amplitudes(
     """Squared final amplitudes at maximal entanglement, in closed form.
 
     form="psi_plus": the entangled carrier state is (|00>+i|11>)/sqrt(2)
-    (the J1 protocol at beta=pi/2); form="triplet": the carrier is
-    (|01>+|10>)/sqrt(2) (the J2 protocol). Both match the direct matrix
-    computation to machine precision. They are reference formulas: the
-    search and no_psne_certificate compute payoffs with the kernel in
-    _kernels, and these check it (verify, tests).
+    (the J1 protocol at beta=pi/2), computed as
+    closed_form_amplitudes_partial at beta=pi/2; form="triplet": the
+    carrier is (|01>+|10>)/sqrt(2) (the J2 protocol). Both match the direct
+    matrix computation to machine precision. They are reference formulas:
+    the search, the Bayesian game and no_psne_certificate compute payoffs
+    with the kernel in _kernels, and only verify and the tests evaluate
+    these, to check it.
     """
+    if form == "psi_plus":
+        # the imaginary parts carry a factor cos(beta), zero at pi/2
+        amps = closed_form_amplitudes_partial(math.pi / 2, g1, g2)
+        return tuple(float(z.real) * float(z.real) for z in amps)
+    if form != "triplet":
+        raise ValueError(f"unknown closed form {form!r}")
     p1, a1, t1 = g1.as_tuple()
     p2, a2, t2 = g2.as_tuple()
     c1, s1 = math.cos(t1 / 2), math.sin(t1 / 2)
     c2, s2 = math.cos(t2 / 2), math.sin(t2 / 2)
-    if form == "psi_plus":
-        a = c1 * c2 * math.cos(p1 + p2) - s1 * s2 * math.sin(a1 + a2)
-        b = c1 * s2 * math.cos(p1 - a2) + s1 * c2 * math.sin(a1 - p2)
-        c = s1 * c2 * math.cos(a1 - p2) - c1 * s2 * math.sin(p1 - a2)
-        d = s1 * s2 * math.cos(a1 + a2) + c1 * c2 * math.sin(p1 + p2)
-    elif form == "triplet":
-        a = c1 * c2 * math.cos(p1 - p2) - s1 * s2 * math.cos(a1 - a2)
-        b = c1 * s2 * math.sin(p1 + a2) + s1 * c2 * math.sin(a1 + p2)
-        c = s1 * s2 * math.sin(a1 - a2) - c1 * c2 * math.sin(p1 - p2)
-        d = s1 * c2 * math.cos(a1 + p2) + c1 * s2 * math.cos(p1 + a2)
-    else:
-        raise ValueError(f"unknown closed form {form!r}")
+    a = c1 * c2 * math.cos(p1 - p2) - s1 * s2 * math.cos(a1 - a2)
+    b = c1 * s2 * math.sin(p1 + a2) + s1 * c2 * math.sin(a1 + p2)
+    c = s1 * s2 * math.sin(a1 - a2) - c1 * c2 * math.sin(p1 - p2)
+    d = s1 * c2 * math.cos(a1 + p2) + c1 * s2 * math.cos(p1 + a2)
     return (a * a, b * b, c * c, d * d)
 
 

@@ -32,6 +32,12 @@ from .strategies import StrategyAngles
 TWO_PI = 2.0 * math.pi
 
 
+def _require_integer(value, what: str) -> None:
+    """ValueError unless value is an integer: numpy integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} takes integers only, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeshSpec:
     n_theta: int
@@ -40,8 +46,7 @@ class MeshSpec:
 
     def __post_init__(self):
         for n in (self.n_theta, self.n_phi, self.n_alpha):
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ValueError(f"mesh sizes must be integers, got {n!r}")
+            _require_integer(n, "mesh size")
         if self.n_theta < 3:
             raise ValueError("n_theta must be at least 3")
         if self.n_phi < 1 or self.n_alpha < 1:
@@ -70,6 +75,7 @@ def _axis_value(stop: float, n: int, k: int) -> float:
 
 def index_to_angles(mesh: MeshSpec, index: int) -> StrategyAngles:
     """The angle triple of 1-based strategy index `index`."""
+    _require_integer(index, "strategy index")
     n = mesh.n_strategies
     if not (1 <= index <= n):
         raise ValueError(f"strategy index {index} out of range [1, {n}]")

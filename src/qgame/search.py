@@ -11,8 +11,8 @@ import numpy as np
 
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
-from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair, closed_form_sq_amplitudes
-from .mesh import MeshSpec, mesh_angle_array, mesh_classes
+from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
+from .mesh import MeshSpec, _require_integer, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
 
 TIE_TOL = 1e-9
@@ -217,12 +217,6 @@ def _psi_plus_reply(responder, phi, alpha, theta):
     return out
 
 
-def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: StrategyAngles) -> float:
-    if responder == 2:
-        return closed_form_sq_amplitudes(form, g_opp, g_resp)[1]
-    return closed_form_sq_amplitudes(form, g_resp, g_opp)[2]
-
-
 def no_psne_certificate(
     form: str, samples: int, game: GameTable = PRISONER_DILEMMA, seed: int = 0
 ) -> bool:
@@ -238,6 +232,7 @@ def no_psne_certificate(
     mutually best outcome sits at |01> the certificate fails at that
     settlement point.
     """
+    _require_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if form not in CLOSED_FORMS:

@@ -115,11 +115,13 @@ def su3_from_angles(angles) -> np.ndarray:
         e^{i a1 l3} e^{i a2 l2} e^{i a3 l3} e^{i a4 l5}
         e^{i a5 l3} e^{i a6 l2} e^{i a7 l3} e^{i a8 l8}
     where l_k are Gell-Mann matrices. Unitary with det 1 (each factor has a
-    traceless generator).
+    traceless generator). ValueError unless there are eight finite angles.
     """
     angles = [float(a) for a in angles]
     if len(angles) != 8:
         raise ValueError(f"su3_from_angles needs 8 angles, got {len(angles)}")
+    if not all(math.isfinite(a) for a in angles):
+        raise ValueError(f"su3_from_angles needs finite angles, got {angles}")
     u = np.eye(3, dtype=complex)
     for a, (gen, kind) in zip(angles, _SU3_FACTORS):
         u = u @ expm_structured(gen, 1j * a, kind)

@@ -15,7 +15,7 @@ from .entanglers import EntanglerSpec, build_entangler
 from .games import DA_BROTHER, closed_form_sq_amplitudes, final_state, payoffs
 from .linalg import is_unitary
 from .mesh import MeshSpec, mesh_angle_array
-from .search import analytic_best_response, find_pure_ne, _target_amplitude
+from .search import analytic_best_response, find_pure_ne
 from .strategies import TWO_PI, StrategyAngles, su2_from_angles, su3_from_angles
 
 
@@ -70,6 +70,13 @@ def check_closed_form_oracle(rng, samples=300):
             got = np.array(closed_form_sq_amplitudes(form, g1, g2))
             worst = max(worst, float(np.abs(ref - got).max()))
     return "closed_form_oracle", worst <= 1e-10, worst
+
+
+def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: StrategyAngles) -> float:
+    """The squared amplitude of the responder's target outcome: |01> for player 2, |10> for player 1."""
+    if responder == 2:
+        return closed_form_sq_amplitudes(form, g_opp, g_resp)[1]
+    return closed_form_sq_amplitudes(form, g_resp, g_opp)[2]
 
 
 def check_best_response_targets(rng, samples=250):

@@ -93,12 +93,23 @@ class TestPayoffSurface:
         assert pay.p1 == p1_given_best_responses(0.1, ORIGIN) == -1.0
         assert pay.p2I == -1.0 and pay.p2II == -2.0
 
-    @given(st.floats(0, 1), angle_triples)
+    @given(st.floats(0, 1), angle_triples, angle_triples, angle_triples)
     @settings(max_examples=100)
-    def test_closed_form_matches_payoff_path(self, mu, triple):
+    def test_closed_form_matches_payoff_path(self, mu, triple, triple_i, triple_ii):
+        # the kernel's payoffs against the psi_plus closed form weighted by the type tables
+        spec = BayesSpec(mu)
+
+        def expected(prof):
+            w_i = np.array(closed_form_sq_amplitudes("psi_plus", prof.g1, prof.g2I))
+            w_ii = np.array(closed_form_sq_amplitudes("psi_plus", prof.g1, prof.g2II))
+            u_i, u_ii = spec.game_2I.outcome_payoffs(), spec.game_2II.outcome_payoffs()
+            return (mu * (w_i @ u_i[0]) + (1.0 - mu) * (w_ii @ u_ii[0]), w_i @ u_i[1], w_ii @ u_ii[1])
+
         g1 = StrategyAngles(*triple)
-        pay = bayes_payoffs(BayesSpec(mu), candidate_profile(g1))
-        assert abs(pay.p1 - p1_given_best_responses(mu, g1)) < 1e-11
+        prof = BayesProfile(g1, StrategyAngles(*triple_i), StrategyAngles(*triple_ii))
+        for got, want in zip(bayes_payoffs(spec, prof), expected(prof)):
+            assert abs(got - want) < 1e-11
+        assert abs(p1_given_best_responses(mu, g1) - expected(candidate_profile(g1))[0]) < 1e-11
 
     def test_origin_value_is_linear_in_mu(self):
         for mu in (0.0, 0.2, 0.7, 1.0):

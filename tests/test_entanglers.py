@@ -132,6 +132,15 @@ class TestCommensurability:
         with pytest.raises(ValueError):
             is_classically_commensurate(2.0 * np.eye(4))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="unitary 4x4"):
+            is_classically_commensurate(np.eye(3))
+
+    def test_tol_bounds_only_the_commutator(self):
+        # unitary only to 1e-9: refused like every other entangler input
+        with pytest.raises(ValueError, match="unitary 4x4"):
+            is_classically_commensurate((1.0 + 1e-9) * np.eye(4), 1e-6)
+
 
 class TestIsProductState:
     def test_product(self):

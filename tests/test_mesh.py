@@ -34,10 +34,16 @@ class TestMeshSpec:
         with pytest.raises(ValueError, match="integers"):
             MeshSpec(*dims)
 
+    @pytest.mark.parametrize("index", [1.5, 2.0, True])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(ValueError, match="integers"):
+            index_to_angles(MeshSpec(3, 2, 2), index)
+
     def test_numpy_integer_sizes_accepted(self):
         mesh = MeshSpec(np.int64(9), np.int32(17), np.int16(17))
         assert mesh.n_strategies == 2025
         assert index_to_angles(mesh, 5) == index_to_angles(MeshSpec(9, 17, 17), 5)
+        assert index_to_angles(mesh, np.int64(5)) == index_to_angles(mesh, 5)
 
     def test_axis_values(self):
         mesh = MeshSpec(9, 17, 17)

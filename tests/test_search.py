@@ -374,6 +374,14 @@ class TestNoPsneCertificate:
         with pytest.raises(ValueError):
             no_psne_certificate("psi_plus", 0)
 
+    @pytest.mark.parametrize("samples", [2.5, 3.0, True])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError, match="integers"):
+            no_psne_certificate("psi_plus", samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        assert no_psne_certificate("psi_plus", np.int64(20))
+
     def test_rejects_unknown_form(self):
         with pytest.raises(ValueError, match="bell"):
             no_psne_certificate("bell", 10)

@@ -129,6 +129,11 @@ class TestSu3:
         with pytest.raises(ValueError):
             su3_from_angles([0.0] * 7)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            su3_from_angles([0.0] * 7 + [bad])
+
     def test_random_unitarity(self):
         rng = np.random.default_rng(12345)
         worst_u = 0.0
