@@ -1,11 +1,14 @@
 """Quantum 2x2 game engine.
 
 Quantizes classical 2x2 games through an entangle/act/disentangle
-protocol, evaluates payoffs from closed-form or matrix amplitudes,
+protocol, evaluates payoffs with the matrix protocol and a bilinear payoff
+kernel (the closed forms are reference formulas that check them),
 searches discretized strategy meshes for pure Nash equilibria and the
 entanglement threshold, solves a two-type Bayesian variant, and builds the
-two-qutrit entangler together with the Schur-lemma obstruction to
-classically commensurate qutrit entanglers.
+two-qutrit entangler together with commutant_is_scalar, which computes the
+dimension of the joint commutant of a set of gates (two-dimensional for
+the transpositions {S12, S13}, whose permutation representation is
+reducible).
 """
 
 from .entanglers import (

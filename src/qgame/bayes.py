@@ -20,7 +20,7 @@ from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
 from .search import TIE_TOL, _phase, analytic_best_response
-from .strategies import StrategyAngles
+from .strategies import StrategyAngles, _require_real
 
 # Player 2 type I: the standard asymmetric-dilemma brother.
 GAME_TYPE_I = GameTable(
@@ -44,6 +44,7 @@ class BayesSpec:
     game_2II: GameTable = GAME_TYPE_II
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _require_real(self.mu, "mu"))
         if not (0.0 <= self.mu <= 1.0):
             raise ValueError(f"mu out of range [0, 1]: {self.mu}")
 
@@ -145,7 +146,7 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     """
     if spec is None:
         spec = BayesSpec(mu)
-    elif spec.mu != mu:
+    elif spec.mu != _require_real(mu, "mu"):
         raise ValueError(f"mu {mu} differs from the spec's mu {spec.mu}")
     angles = mesh_angle_array(grid)
     for game, reply in ((spec.game_2I, _G2I_STAR), (spec.game_2II, _G2II_STAR)):

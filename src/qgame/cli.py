@@ -18,7 +18,6 @@ from .bayes import BayesSpec, bayes_ne_check
 from .entanglers import EntanglerSpec
 from .games import (
     PRISONER_DILEMMA,
-    GameFormatError,
     _check_object,
     _read_json,
     _table_from_obj,
@@ -151,17 +150,21 @@ def cmd_sweep_beta(args) -> int:
 
 
 def _load_bayes_spec(path: str, mu) -> BayesSpec:
-    """A BayesSpec from a JSON file {mu, game_2I, game_2II}; mu overrides the file's."""
+    """A BayesSpec from a JSON file {mu, game_2I, game_2II}; mu overrides the file's,
+    which must still pass BayesSpec's rule.
+    """
     obj = _read_json(path)
     _check_object(obj, path, ("game_2I", "game_2II"), ("mu",))
     tables = {key: _table_from_obj(obj[key], f"{path}: {key}") for key in ("game_2I", "game_2II")}
-    file_mu = obj.get("mu")
-    if file_mu is not None and (isinstance(file_mu, bool) or not isinstance(file_mu, (int, float))):
-        raise GameFormatError(f"{path}: field 'mu' must be a number")
-    mu = mu if mu is not None else file_mu
+    if obj.get("mu") is not None:
+        try:
+            spec = BayesSpec(obj["mu"], **tables)
+        except ValueError as exc:
+            raise ValueError(f"{path}: field 'mu' must be a number in [0, 1]: {exc}") from None
+        mu = spec.mu if mu is None else mu
     if mu is None:
         raise ValueError("mu must come from --mu or the --spec file")
-    return BayesSpec(mu=float(mu), **tables)
+    return BayesSpec(mu, **tables)
 
 
 def cmd_bayes(args) -> int:
@@ -298,12 +301,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GameFormatError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

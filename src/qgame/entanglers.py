@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, commutator, is_unitary, tensor
-from .strategies import classical_gate
+from .strategies import _require_real, classical_gate
 
 Y_TENSOR_Y = tensor(classical_gate("Y"), classical_gate("Y"))
 
@@ -29,6 +29,7 @@ class EntanglerSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown entangler family {self.family!r}")
+        object.__setattr__(self, "beta", _require_real(self.beta, "beta"))
         if not (0.0 <= self.beta <= math.pi / 2 + 1e-12):
             raise ValueError(f"beta out of range [0, pi/2]: {self.beta}")
 
@@ -94,6 +95,7 @@ def partial_state(family: str, gamma: float) -> np.ndarray:
     For family "T": cos(gamma/2)|01> + sin(gamma/2)|10>, giving |01> at 0,
     the triplet at pi/2 and |10> at pi.
     """
+    gamma = _require_real(gamma, "gamma")
     if not (0.0 <= gamma <= math.pi):
         raise ValueError(f"gamma out of range [0, pi]: {gamma}")
     c = math.cos(gamma / 2.0)

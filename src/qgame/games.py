@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entanglers import entangler_matrix
+from .entanglers import EntanglerSpec, entangler_matrix
 from .linalg import dagger, tensor
-from .strategies import StrategyAngles, su2_from_angles
+from .strategies import StrategyAngles, _require_real, su2_from_angles
 
 # Each closed form and the entangler family whose maximal entanglement
 # (beta = pi/2) it describes; see closed_form_sq_amplitudes.
@@ -54,12 +53,10 @@ class GameTable:
                 raise GameFormatError(f"field {field!r} is not a 2x2 number grid") from exc
             if len(grid) != 2 or any(len(row) != 2 for row in grid):
                 raise GameFormatError(f"field {field!r} must be 2x2, got {raw!r}")
-            # bool is an int, and float() would also read "04" or "1e1"
-            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for row in grid for x in row):
-                raise GameFormatError(f"field {field!r} has an entry that is not a number: {raw!r}")
-            grid = tuple(tuple(float(x) for x in row) for row in grid)
-            if not all(math.isfinite(x) for row in grid for x in row):
-                raise GameFormatError(f"field {field!r} contains non-finite entries")
+            try:
+                grid = tuple(tuple(_require_real(x, f"field {field!r} entry") for x in row) for row in grid)
+            except ValueError as exc:
+                raise GameFormatError(str(exc)) from None
             object.__setattr__(self, field, grid)
 
     def outcome_payoffs(self) -> np.ndarray:
@@ -147,8 +144,7 @@ def closed_form_amplitudes_partial(
     match the matrix protocol entrywise. At beta=pi/2 the squared
     magnitudes reduce to the "psi_plus" closed form.
     """
-    if not (0.0 <= beta <= math.pi / 2 + 1e-12):
-        raise ValueError(f"beta out of range [0, pi/2]: {beta}")
+    beta = EntanglerSpec("j1", beta).beta
     p1, a1, t1 = g1.as_tuple()
     p2, a2, t2 = g2.as_tuple()
     c1, s1 = math.cos(t1 / 2), math.sin(t1 / 2)
@@ -176,7 +172,7 @@ class MixedStrategy:
     support: tuple[tuple[StrategyAngles, float], ...]
 
     def __post_init__(self):
-        support = tuple((g, float(p)) for g, p in self.support)
+        support = tuple((g, _require_real(p, "probability")) for g, p in self.support)
         if not support:
             raise ValueError("mixed strategy needs a non-empty support")
         if not all(0 <= p <= 1 for _, p in support):

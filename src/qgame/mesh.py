@@ -22,20 +22,11 @@ class and expands its results back to every mesh index.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .strategies import StrategyAngles
-
-TWO_PI = 2.0 * math.pi
-
-
-def _require_integer(value, what: str) -> None:
-    """ValueError unless value is an integer: numpy integers count, bool does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} takes integers only, got {value!r}")
+from .strategies import TWO_PI, StrategyAngles, _require_integer
 
 
 @dataclass(frozen=True)
@@ -45,8 +36,8 @@ class MeshSpec:
     n_alpha: int
 
     def __post_init__(self):
-        for n in (self.n_theta, self.n_phi, self.n_alpha):
-            _require_integer(n, "mesh size")
+        for name in ("n_theta", "n_phi", "n_alpha"):
+            object.__setattr__(self, name, _require_integer(getattr(self, name), "mesh size"))
         if self.n_theta < 3:
             raise ValueError("n_theta must be at least 3")
         if self.n_phi < 1 or self.n_alpha < 1:
@@ -75,7 +66,7 @@ def _axis_value(stop: float, n: int, k: int) -> float:
 
 def index_to_angles(mesh: MeshSpec, index: int) -> StrategyAngles:
     """The angle triple of 1-based strategy index `index`."""
-    _require_integer(index, "strategy index")
+    index = _require_integer(index, "strategy index")
     n = mesh.n_strategies
     if not (1 <= index <= n):
         raise ValueError(f"strategy index {index} out of range [1, {n}]")

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .linalg import tensor
+from .strategies import _require_real
 
 _PERMS = {
     "I3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -57,8 +58,7 @@ def _entangler_coeffs(beta: float) -> tuple[complex, complex]:
     a = exp(-i beta) (exp(3 i beta) + 2) / 3 and
     b = exp(-i beta) (exp(3 i beta) - 1) / 3.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
+    beta = _require_real(beta, "beta")
     e3 = cmath.exp(3j * beta)
     em = cmath.exp(-1j * beta)
     return em * (e3 + 2.0) / 3.0, em * (e3 - 1.0) / 3.0

@@ -12,8 +12,8 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
 from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
-from .mesh import MeshSpec, _require_integer, mesh_angle_array, mesh_classes
-from .strategies import TWO_PI, StrategyAngles
+from .mesh import MeshSpec, mesh_angle_array, mesh_classes
+from .strategies import TWO_PI, StrategyAngles, _require_integer, _require_real
 
 TIE_TOL = 1e-9
 
@@ -81,6 +81,7 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     on one representative per payoff class of the mesh (mesh_classes), for
     one block of opponent classes at a time.
     """
+    responder = _require_integer(responder, "responder")
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
     layout = _class_layout(mesh)
@@ -144,7 +145,7 @@ def find_pure_ne(
 
 def sweep_beta(game: GameTable, family: str, mesh: MeshSpec, betas) -> list[NeResult]:
     """find_pure_ne at each beta of an ascending grid."""
-    betas = [float(b) for b in betas]
+    betas = [_require_real(b, "beta") for b in betas]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be sorted ascending")
     return [find_pure_ne(game, EntanglerSpec(family, b), mesh) for b in betas]
@@ -171,6 +172,7 @@ def analytic_best_response(responder: int, form: str, g_opp: StrategyAngles) -> 
     quarter of alpha, so that alternating replies close a four-step cycle
     up to 0 == 2*pi (see _psi_plus_reply).
     """
+    responder = _require_integer(responder, "responder")
     if responder not in (1, 2):
         raise ValueError("responder must be 1 or 2")
     phi, alpha, theta = g_opp.as_tuple()
@@ -232,7 +234,7 @@ def no_psne_certificate(
     mutually best outcome sits at |01> the certificate fails at that
     settlement point.
     """
-    _require_integer(samples, "samples")
+    samples = _require_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if form not in CLOSED_FORMS:

@@ -8,6 +8,7 @@ angles through a product of structured exponentials of Gell-Mann matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,32 @@ import numpy as np
 from .linalg import GELL_MANN, expm_structured
 
 TWO_PI = 2.0 * math.pi
+
+
+def _require_real(value, what: str) -> float:
+    """value as a float; ValueError unless it is a finite real number.
+
+    numpy numbers count; bool, strings, complex numbers and integers
+    beyond the float range do not. Every number that enters qgame from
+    outside passes this rule or _require_integer.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} is not a number: {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is not finite: an integer beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return value
+
+
+def _require_integer(value, what: str) -> int:
+    """value as an int; ValueError unless it is an integer: numpy integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} takes integers only, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -32,6 +59,10 @@ class StrategyAngles:
     theta: float
 
     def __post_init__(self):
+        # plain floats need no conversion, and the range checks refuse NaN and inf
+        if not (type(self.phi) is type(self.alpha) is type(self.theta) is float):
+            for name in ("phi", "alpha", "theta"):
+                object.__setattr__(self, name, _require_real(getattr(self, name), name))
         if not (0.0 <= self.phi <= TWO_PI):
             raise ValueError(f"phi out of range [0, 2*pi]: {self.phi}")
         if not (0.0 <= self.alpha <= TWO_PI):
@@ -117,11 +148,9 @@ def su3_from_angles(angles) -> np.ndarray:
     where l_k are Gell-Mann matrices. Unitary with det 1 (each factor has a
     traceless generator). ValueError unless there are eight finite angles.
     """
-    angles = [float(a) for a in angles]
+    angles = [_require_real(a, "su3 angle") for a in angles]
     if len(angles) != 8:
         raise ValueError(f"su3_from_angles needs 8 angles, got {len(angles)}")
-    if not all(math.isfinite(a) for a in angles):
-        raise ValueError(f"su3_from_angles needs finite angles, got {angles}")
     u = np.eye(3, dtype=complex)
     for a, (gen, kind) in zip(angles, _SU3_FACTORS):
         u = u @ expm_structured(gen, 1j * a, kind)

@@ -7,8 +7,9 @@ command line output as it was:
     python tools/cli_snapshot.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
-Every call runs in this process through qgame.cli.main. The --spec files
-are written to a temporary directory, shown as <tmp> in the printed argv.
+Every call runs in this process through qgame.cli.main. The --spec and
+--game files are written to a temporary directory, shown as <tmp> in the
+printed argv.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ SPECS = {
     "builtin.json": {"mu": 0.1, "game_2I": TYPE_I, "game_2II": TYPE_II},
     "generous.json": {"mu": 0.3, "game_2I": GENEROUS_I, "game_2II": GENEROUS_II},
 }
+# JSON integers where qgame reads a float: the spec's mu and table entries
+FILES = {
+    **SPECS,
+    "integer_mu.json": {"mu": 0, "game_2I": TYPE_I, "game_2II": TYPE_II},
+    "mixed_table.json": {"name": "mixed_table", "u1": [[0, -10], [-1.5, -5]], "u2": [[-2, -1.5], [-10, -5.0]]},
+}
 
 
 def calls(tmp: str):
@@ -43,6 +50,7 @@ def calls(tmp: str):
         yield ["bayes", "--spec", spec]
         yield ["bayes", "--spec", spec, "--mu", "0.5"]
         yield ["bayes", "--spec", spec, "--mu", "0.1", "--mesh", "5,9,11"]
+    yield ["bayes", "--spec", os.path.join(tmp, "integer_mu.json")]
     for seed in ("0", "1", "3", "7"):
         yield ["verify", "--seed", seed]
     for p1 in ("0,0,1.5707963267948966", "0,0,0", "1.0,2.0,0.7"):
@@ -51,6 +59,7 @@ def calls(tmp: str):
         yield ["search-ne", "--game", game, "--entangler", "j1", "--beta", "0.5"]
         yield ["search-ne", "--game", game, "--entangler", "j2", "--beta", "1.0", "--mesh", "5,9,9"]
     yield ["search-ne", "--game", "da_brother", "--entangler", "none", "--mesh", "5,9,9"]
+    yield ["search-ne", "--game", os.path.join(tmp, "mixed_table.json"), "--beta", "0.5", "--mesh", "5,9,9"]
     yield ["sweep-beta", "--game", "da_brother", "--mesh", "5,9,9", "--beta-steps", "12"]
     yield ["sweep-beta", "--game", "prisoner_dilemma", "--mesh", "5,9,9", "--beta-steps", "6", "--format", "json"]
     yield ["payoff", "--game", "prisoner_dilemma", "--p1", "0.3,1.2,0.8", "--p2", "2.0,0.1,2.5"]
@@ -67,7 +76,7 @@ def main(argv=None) -> int:
     from qgame import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name, obj in SPECS.items():
+        for name, obj in FILES.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 json.dump(obj, fh)
         for call in calls(tmp):
