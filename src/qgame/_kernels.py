@@ -8,11 +8,15 @@ namely U = q0 I + q1 diag(i, -i) + q2 [[0, 1], [-1, 0]] + q3 [[0, i], [i, 0]].
 Each final amplitude of the protocol J^dag (U1 x U2) J |00> is therefore
 bilinear, A_k = q1^T C_k q2, with complex 4x4 matrices C_k fixed by J, and
 every payoff sum_k u_k |A_k|^2 is a real bilinear form f(q1)^T W_u f(q2) in
-the ten products f(q) = (q_a q_b, a <= b). W_u is a 10x10 matrix built once
-from J and a row u of outcome payoffs, so the payoffs of N strategies
-against each other are the single matrix product F W_u F^T, for any 4x4
-entangler J. A stack of rows u, such as GameTable.outcome_payoffs(), gives
-one W and one leading axis of payoffs per row: one call, both players.
+the ten products f(q) = (q_a q_b, a <= b). W_u is a 10x10 matrix fixed by J
+and a row u of outcome payoffs, and weights(J, u) is the one place where the
+two meet: a caller builds W once per (J, table) and passes it to
+payoff_block, pair_payoffs and pure_ne_pairs, which only multiply features
+by it. The payoffs of N strategies against each other are the single matrix
+product F W_u F^T, for any 4x4 entangler J. A stack of rows u, such as
+GameTable.outcome_payoffs(), gives a stack of W, whose W[p] is bit for bit
+the W of row p alone, and one leading axis of payoffs per W: one call, both
+players.
 
 The features are even in q, so U and -U give equal payoffs, and they agree
 to rounding at phi, alpha = 0 and 2*pi; mesh.mesh_classes groups the mesh
@@ -49,7 +53,7 @@ def _features(angles: np.ndarray) -> np.ndarray:
     return q[:, _PAIRS[0]] * q[:, _PAIRS[1]]
 
 
-def _weights(j, u) -> np.ndarray:
+def weights(j, u) -> np.ndarray:
     """The 10x10 W with payoff f(q1)^T W f(q2) under entangler j, for each row of u."""
     j = np.asarray(j, dtype=complex)
     # c[k, a, b] = <k| J^dag (B_a x B_b) J |00>, so A_k = sum_ab q1_a q2_b c[k, a, b]
@@ -66,17 +70,17 @@ def _weights(j, u) -> np.ndarray:
     return np.ascontiguousarray(w)
 
 
-def payoff_block(angles1, angles2, j, u) -> np.ndarray:
-    """Payoffs under each row of u of every strategy of angles1 against every one of angles2."""
-    return _features(angles1) @ _weights(j, u) @ _features(angles2).T
+def payoff_block(angles1, angles2, w) -> np.ndarray:
+    """Payoffs under each W of w of every strategy of angles1 against every one of angles2."""
+    return _features(angles1) @ w @ _features(angles2).T
 
 
-def pair_payoffs(angles1, angles2, j, u) -> np.ndarray:
-    """Payoffs under each row of u of row i of angles1 against row i of angles2, for each i."""
-    return np.einsum("...ij,ij->...i", _features(angles1) @ _weights(j, u), _features(angles2))
+def pair_payoffs(angles1, angles2, w) -> np.ndarray:
+    """Payoffs under each W of w of row i of angles1 against row i of angles2, for each i."""
+    return np.einsum("...ij,ij->...i", _features(angles1) @ w, _features(angles2))
 
 
-def pure_ne_pairs(angles, j, u, tol=1e-9):
+def pure_ne_pairs(angles, w, tol=1e-9):
     """Mutual-best-response pairs without materializing the full tables.
 
     Two passes over row blocks: the first accumulates the column maxima of
@@ -84,12 +88,12 @@ def pure_ne_pairs(angles, j, u, tol=1e-9):
     2's rows, keeps the replies within tol of each row's maximum and
     evaluates player 1's payoff only at those pairs, keeping the ones within
     tol of player 1's column maximum. Returns the pairs as two 0-based index
-    arrays (rows, cols), ordered lexicographically. u is the (2, 4) stack of
-    both players' outcome payoffs.
+    arrays (rows, cols), ordered lexicographically. w is the (2, 10, 10)
+    stack of both players' W.
     """
     f = _features(angles)
     n = f.shape[0]
-    w1, w2 = _weights(j, u)
+    w1, w2 = w
     g1 = w1.T @ f.T
     colmax1 = np.empty(n)
     for i0 in range(0, n, BLOCK_ROWS):

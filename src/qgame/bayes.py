@@ -4,11 +4,13 @@ Player 2 is one of two types: with probability mu the harsh type (whose
 payoff table punishes mutual silence more), with probability 1-mu the mild
 type. Player 1 plays one strategy against both; each type best-responds to
 it. The game is played under J1 at maximal entanglement, and every payoff,
-of one profile or of a whole mesh, comes from the payoff kernel in _kernels.
+of one profile or of a whole mesh, comes from the payoff kernel in _kernels,
+on both players' W of each type table, built once per table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,9 +20,10 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable
+from .linalg import _require_real
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
 from .search import TIE_TOL, _phase, analytic_best_response
-from .strategies import StrategyAngles, _require_real
+from .strategies import StrategyAngles
 
 # Player 2 type I: the standard asymmetric-dilemma brother.
 GAME_TYPE_I = GameTable(
@@ -90,9 +93,19 @@ def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
 _G2I_STAR = StrategyAngles(0.0, 0.0, math.pi)
 _G2II_STAR = StrategyAngles(0.0, 0.0, 0.0)
 
-_J_MAX = build_entangler(EntanglerSpec("j1", math.pi / 2))
 _IDENTITY = np.zeros((1, 3))
 _ROUNDING = 1e-12  # payoffs equal up to rounding count as tied
+
+
+@functools.lru_cache(maxsize=8)
+def _type_weights(game: GameTable) -> np.ndarray:
+    """The (2, 10, 10) stack of both players' W of a type table under J1(pi/2).
+
+    Built once per table: every BayesSpec of the built-in types shares it.
+    """
+    w = _kernels.weights(build_entangler(EntanglerSpec("j1", math.pi / 2)), game.outcome_payoffs())
+    w.setflags(write=False)
+    return w
 
 
 def _type_payoffs(spec: BayesSpec, angles: np.ndarray, g2I: StrategyAngles, g2II: StrategyAngles):
@@ -101,7 +114,7 @@ def _type_payoffs(spec: BayesSpec, angles: np.ndarray, g2I: StrategyAngles, g2II
     One kernel call per type gives both players' payoffs of that matchup.
     """
     (p1_i, p2_i), (p1_ii, p2_ii) = (
-        _kernels.payoff_block(angles, np.array([g2.as_tuple()]), _J_MAX, game.outcome_payoffs())[..., 0]
+        _kernels.payoff_block(angles, np.array([g2.as_tuple()]), _type_weights(game))[..., 0]
         for game, g2 in ((spec.game_2I, g2I), (spec.game_2II, g2II))
     )
     return spec.mu * p1_i + (1.0 - spec.mu) * p1_ii, p2_i, p2_ii
@@ -152,7 +165,8 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     for game, reply in ((spec.game_2I, _G2I_STAR), (spec.game_2II, _G2II_STAR)):
         # the reply's payoff first, then every mesh strategy's
         replies = np.vstack([reply.as_tuple(), angles])
-        p2 = _kernels.payoff_block(_IDENTITY, replies, _J_MAX, game.outcome_payoffs()[1])[0]
+        # _type_weights(game)[1] is bit for bit the W of player 2's row alone
+        p2 = _kernels.payoff_block(_IDENTITY, replies, _type_weights(game)[1])[0]
         if p2[0] < p2[1:].max() - TIE_TOL:
             raise ValueError(
                 f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "

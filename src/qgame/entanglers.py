@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, commutator, is_unitary, tensor
-from .strategies import _require_real, classical_gate
+from .linalg import DEFAULT_TOL, _require_real, _require_tol, commutator, is_unitary, tensor
+from .strategies import classical_gate
 
 Y_TENSOR_Y = tensor(classical_gate("Y"), classical_gate("Y"))
 
@@ -115,6 +115,7 @@ def is_classically_commensurate(j: np.ndarray, tol: float = DEFAULT_TOL) -> bool
     outcomes. J must pass entangler_matrix (ValueError otherwise); tol
     bounds only the commutator.
     """
+    tol = _require_tol(tol)
     j = entangler_matrix(j)
     return bool(np.abs(commutator(Y_TENSOR_Y, j)).max() <= tol)
 
@@ -125,6 +126,7 @@ def is_product_state(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     The state is a tensor product of two single qubits exactly when the 2x2
     coefficient matrix [[a, b], [c, d]] has rank 1, i.e. |ad - bc| <= tol.
     """
+    tol = _require_tol(tol)
     s = np.asarray(s, dtype=complex).reshape(4)
     a, b, c, d = s
     return bool(abs(a * d - b * c) <= tol)

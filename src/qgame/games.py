@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .entanglers import EntanglerSpec, entangler_matrix
-from .linalg import dagger, tensor
-from .strategies import StrategyAngles, _require_real, su2_from_angles
+from .linalg import _require_real, dagger, tensor
+from .strategies import StrategyAngles, su2_from_angles
 
 # Each closed form and the entangler family whose maximal entanglement
 # (beta = pi/2) it describes; see closed_form_sq_amplitudes.

@@ -1,11 +1,18 @@
-"""Small dense complex matrix helpers and fixed matrix constants.
+"""Small dense complex matrix helpers, fixed matrix constants and the number rule.
 
 Everything here operates on plain numpy arrays (complex128). Matrices are
 tiny (at most 9x9), so there is no attempt at sparse storage or performance
 tuning; clarity and exactness of the structural predicates are what matter.
+
+Every number that enters qgame from outside, tolerances and sizes too,
+passes _require_real or _require_integer. They live here, below every other
+module, and strategies re-exports them.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -14,6 +21,40 @@ DEFAULT_TOL = 1e-12
 
 class StructureError(ValueError):
     """A matrix does not have the algebraic structure an operation requires."""
+
+
+def _require_real(value, what: str) -> float:
+    """value as a float; ValueError unless it is a finite real number.
+
+    numpy numbers count; bool, strings, complex numbers and integers
+    beyond the float range do not. Every number that enters qgame from
+    outside passes this rule or _require_integer.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} is not a number: {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is not finite: an integer beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return value
+
+
+def _require_integer(value, what: str) -> int:
+    """value as an int; ValueError unless it is an integer: numpy integers count, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} takes integers only, got {value!r}")
+    return int(value)
+
+
+def _require_tol(tol) -> float:
+    """tol as a float; ValueError unless _require_real accepts it and it is positive."""
+    tol = _require_real(tol, "tol")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return tol
 
 
 # Pauli matrices sigma_1, sigma_2, sigma_3.
@@ -57,8 +98,7 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary requires a square matrix, got shape {m.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _require_tol(tol)
     eye = np.eye(m.shape[0])
     return (
         np.abs(m @ dagger(m) - eye).max() <= tol

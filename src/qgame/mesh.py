@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategies import TWO_PI, StrategyAngles, _require_integer
+from .linalg import _require_integer, _require_tol
+from .strategies import TWO_PI, StrategyAngles
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,7 @@ def angles_to_index(mesh: MeshSpec, g: StrategyAngles, tol: float = 1e-9) -> int
     0 mod 2*pi within tol: phi at theta=0 and alpha at theta=pi (the other
     phase drops out of the matrix). Any other pole triple is off the mesh.
     """
+    tol = _require_tol(tol)
     if g.theta <= tol or g.theta >= math.pi - tol:
         index, phase = (1, g.phi) if g.theta <= tol else (mesh.n_strategies, g.alpha)
         if min(phase, TWO_PI - phase) > tol:

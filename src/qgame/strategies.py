@@ -8,40 +8,14 @@ angles through a product of structured exponentials of Gell-Mann matrices.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GELL_MANN, expm_structured
+# the number rule lives in linalg, below every module; strategies re-exports it
+from .linalg import GELL_MANN, _require_integer, _require_real, expm_structured  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
-
-
-def _require_real(value, what: str) -> float:
-    """value as a float; ValueError unless it is a finite real number.
-
-    numpy numbers count; bool, strings, complex numbers and integers
-    beyond the float range do not. Every number that enters qgame from
-    outside passes this rule or _require_integer.
-    """
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{what} is not a number: {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(f"{what} is not finite: an integer beyond the float range") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is not finite: {value!r}")
-    return value
-
-
-def _require_integer(value, what: str) -> int:
-    """value as an int; ValueError unless it is an integer: numpy integers count, bool does not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} takes integers only, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

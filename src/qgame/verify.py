@@ -105,7 +105,8 @@ def check_search_determinism(rng, samples=100):
     angles = mesh_angle_array(mesh)
     for family in ("j1", "j2"):
         j = build_entangler(EntanglerSpec(family, 0.8))
-        p1, p2 = _kernels.payoff_block(angles, angles, j, DA_BROTHER.outcome_payoffs())
+        w = _kernels.weights(j, DA_BROTHER.outcome_payoffs())
+        p1, p2 = _kernels.payoff_block(angles, angles, w)
         for i, k in rng.integers(0, mesh.n_strategies, size=(samples, 2)):
             ref = payoffs(
                 final_state(j, StrategyAngles(*angles[i]), StrategyAngles(*angles[k])), DA_BROTHER

@@ -4,9 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame import _kernels
+from qgame import _kernels, bayes, search
 from qgame.entanglers import EntanglerSpec, build_entangler
-from qgame.games import DA_BROTHER, closed_form_amplitudes_partial, final_state, payoffs
+from qgame.games import (
+    DA_BROTHER,
+    PRISONER_DILEMMA,
+    closed_form_amplitudes_partial,
+    final_state,
+    payoffs,
+)
 from qgame.mesh import MeshSpec, index_to_angles, mesh_angle_array
 from qgame.strategies import StrategyAngles
 
@@ -43,13 +49,13 @@ entanglers = st.one_of(
 
 def _pair_payoffs(j, t1, t2, u):
     """Kernel payoffs (P1, P2) of raw angle triple t1 against t2."""
-    return _kernels.payoff_block(np.array([t1]), np.array([t2]), j, u)[:, 0, 0]
+    return _kernels.payoff_block(np.array([t1]), np.array([t2]), _kernels.weights(j, u))[:, 0, 0]
 
 
 def test_payoff_tables_match_protocol_pointwise():
     angles = mesh_angle_array(MESH)
     j = build_entangler(EntanglerSpec("j1", 0.8))
-    p1, p2 = _kernels.payoff_block(angles, angles, j, U)
+    p1, p2 = _kernels.payoff_block(angles, angles, _kernels.weights(j, U))
     rng = np.random.default_rng(0)
     for _ in range(25):
         i, k = rng.integers(1, MESH.n_strategies + 1, size=2)
@@ -64,7 +70,8 @@ def test_matrix_path_matches_closed_form_kernels():
     # the public J1 closed form of games.py against the kernel's tables
     angles = mesh_angle_array(MESH)
     beta = 0.9
-    p1, p2 = _kernels.payoff_block(angles, angles, build_entangler(EntanglerSpec("j1", beta)), U)
+    j = build_entangler(EntanglerSpec("j1", beta))
+    p1, p2 = _kernels.payoff_block(angles, angles, _kernels.weights(j, U))
     rng = np.random.default_rng(1)
     for i, k in rng.integers(0, MESH.n_strategies, size=(200, 2)):
         w = np.abs(
@@ -103,7 +110,7 @@ def test_payoffs_invariant_under_endpoint_and_sign(j, t1, t2, move):
 
 
 def _dense_ne_pairs(angles, j, u, tol=1e-9):
-    p1, p2 = _kernels.payoff_block(angles, angles, j, u)
+    p1, p2 = _kernels.payoff_block(angles, angles, _kernels.weights(j, u))
     mask = (p2 >= p2.max(axis=1)[:, None] - tol) & (p1 >= p1.max(axis=0)[None, :] - tol)
     return [(int(i), int(k)) for i, k in np.argwhere(mask)]
 
@@ -124,7 +131,8 @@ integer_tables = st.lists(st.integers(-10, 10), min_size=8, max_size=8).map(
 @settings(max_examples=60, deadline=None)
 def test_pure_ne_pairs_equal_dense_mask(j, u, mesh):
     angles = mesh_angle_array(MeshSpec(*mesh))
-    assert _pairs(_kernels.pure_ne_pairs(angles, j, u)) == _dense_ne_pairs(angles, j, u)
+    w = _kernels.weights(j, u)
+    assert _pairs(_kernels.pure_ne_pairs(angles, w)) == _dense_ne_pairs(angles, j, u)
 
 
 def test_pure_ne_pairs_spans_several_blocks():
@@ -133,7 +141,8 @@ def test_pure_ne_pairs_spans_several_blocks():
     assert angles.shape[0] > 2 * _kernels.BLOCK_ROWS
     for beta in (0.0, 0.6, 1.2, math.pi / 2):
         j = build_entangler(EntanglerSpec("j1", beta))
-        assert _pairs(_kernels.pure_ne_pairs(angles, j, U)) == _dense_ne_pairs(angles, j, U)
+        w = _kernels.weights(j, U)
+        assert _pairs(_kernels.pure_ne_pairs(angles, w)) == _dense_ne_pairs(angles, j, U)
 
 
 @given(entanglers, payoff_tables_4, st.integers(0, 2**32 - 1))
@@ -142,8 +151,9 @@ def test_pair_payoffs_are_the_diagonal_of_the_block(j, u, seed):
     rng = np.random.default_rng(seed)
     angles1 = rng.uniform(0, 2 * math.pi, size=(7, 3))
     angles2 = rng.uniform(0, 2 * math.pi, size=(7, 3))
-    block = _kernels.payoff_block(angles1, angles2, j, u)
-    pairs = _kernels.pair_payoffs(angles1, angles2, j, u)
+    w = _kernels.weights(j, u)
+    block = _kernels.payoff_block(angles1, angles2, w)
+    pairs = _kernels.pair_payoffs(angles1, angles2, w)
     assert np.allclose(pairs, np.diag(block), rtol=0, atol=1e-12)
 
 
@@ -154,9 +164,41 @@ def test_stacked_tables_equal_single_table_calls(j, u, seed):
     rng = np.random.default_rng(seed)
     n1, n2 = rng.integers(1, 300, size=2)
     angles1, angles2, angles3 = (rng.uniform(0, 2 * math.pi, size=(n, 3)) for n in (n1, n2, n1))
-    block = _kernels.payoff_block(angles1, angles2, j, u)
-    pairs = _kernels.pair_payoffs(angles1, angles3, j, u)
+    w = _kernels.weights(j, u)
+    block = _kernels.payoff_block(angles1, angles2, w)
+    pairs = _kernels.pair_payoffs(angles1, angles3, w)
     assert block.shape == (2, n1, n2) and pairs.shape == (2, n1)
     for p in range(2):
-        assert np.array_equal(block[p], _kernels.payoff_block(angles1, angles2, j, u[p]))
-        assert np.array_equal(pairs[p], _kernels.pair_payoffs(angles1, angles3, j, u[p]))
+        w_p = _kernels.weights(j, u[p])
+        # callers take one player's W from the stack
+        assert np.array_equal(w[p], w_p)
+        assert np.array_equal(block[p], _kernels.payoff_block(angles1, angles2, w_p))
+        assert np.array_equal(pairs[p], _kernels.pair_payoffs(angles1, angles3, w_p))
+
+
+def test_each_caller_builds_w_once(monkeypatch):
+    # W depends only on (J, table): a search, a certificate and a spec's
+    # Bayesian payoffs build it once, not once per kernel call
+    built = []
+    weights = _kernels.weights
+
+    def counted(j, u):
+        built.append(1)
+        return weights(j, u)
+
+    monkeypatch.setattr(_kernels, "weights", counted)
+    spec = EntanglerSpec("j1", 0.8)
+    for use_matrix in (False, True):
+        built.clear()
+        search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5), use_matrix=use_matrix)
+        assert len(built) == 1
+    built.clear()
+    assert search.no_psne_certificate("psi_plus", 20, PRISONER_DILEMMA)
+    assert len(built) == 1
+    bayes._type_weights.cache_clear()
+    built.clear()
+    bspec = bayes.BayesSpec(0.3)
+    prof = bayes.candidate_profile(StrategyAngles(0.1, 0.2, 0.3))
+    for _ in range(100):
+        bayes.bayes_payoffs(bspec, prof)
+    assert len(built) <= 2

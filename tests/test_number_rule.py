@@ -1,7 +1,8 @@
-"""Every number that enters qgame passes strategies._require_real or
-strategies._require_integer: bool, strings and non-finite values are
-refused with ValueError, numpy numbers are accepted and stored as plain
-float and int, and the command line reports a refused input with exit 2.
+"""Every number that enters qgame passes linalg._require_real or
+linalg._require_integer (re-exported by strategies): bool, strings and
+non-finite values are refused with ValueError, numpy numbers are accepted
+and stored as plain float and int, tolerances must be positive, and the
+command line reports a refused input with exit 2.
 """
 
 import json
@@ -12,10 +13,18 @@ import pytest
 
 from qgame import cli
 from qgame.bayes import BayesSpec, bayes_ne_check
-from qgame.entanglers import EntanglerSpec, partial_state
+from qgame.entanglers import (
+    EntanglerSpec,
+    bell_state,
+    build_entangler,
+    is_classically_commensurate,
+    is_product_state,
+    partial_state,
+)
 from qgame.games import DA_BROTHER, GameFormatError, GameTable, MixedStrategy
-from qgame.mesh import MeshSpec, index_to_angles
-from qgame.qutrits import qutrit_entangler
+from qgame.linalg import is_unitary
+from qgame.mesh import MeshSpec, angles_to_index, index_to_angles
+from qgame.qutrits import commutant_is_scalar, is_qutrit_product, perm_matrix, qutrit_entangler
 from qgame.search import analytic_best_response, best_response_table, find_pure_ne, sweep_beta
 from qgame.strategies import StrategyAngles, _require_integer, _require_real, su3_from_angles
 
@@ -128,6 +137,52 @@ class TestRefusedInputs:
     def test_analytic_best_response_responder(self, responder):
         with pytest.raises(ValueError, match="integers"):
             analytic_best_response(responder, "psi_plus", ORIGIN)
+
+
+# each tolerance predicate with an input on which a large tol would answer True
+TOL_CALLS = {
+    "is_unitary": lambda tol: is_unitary(2 * np.eye(2), tol),
+    "is_product_state": lambda tol: is_product_state(bell_state("T"), tol),
+    "is_qutrit_product": lambda tol: is_qutrit_product(np.eye(3).reshape(9) / math.sqrt(3), tol),
+    "is_classically_commensurate": lambda tol: is_classically_commensurate(
+        build_entangler(EntanglerSpec("j2", 1.0)), tol
+    ),
+    "angles_to_index": lambda tol: angles_to_index(MeshSpec(3, 3, 3), ORIGIN, tol),
+}
+
+
+class TestTolerancesAndSizes:
+    @pytest.mark.parametrize("name", sorted(TOL_CALLS))
+    @pytest.mark.parametrize("tol", [True, "x", None], ids=["true", "str", "none"])
+    def test_tol_refuses_non_numbers(self, name, tol):
+        with pytest.raises(ValueError, match="not a number"):
+            TOL_CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", sorted(TOL_CALLS))
+    @pytest.mark.parametrize(
+        "tol", [0.0, -1.0, 0, math.nan, math.inf], ids=["0", "-1", "int0", "nan", "inf"]
+    )
+    def test_tol_refuses_non_positive_and_non_finite(self, name, tol):
+        with pytest.raises(ValueError, match="positive|finite"):
+            TOL_CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", sorted(TOL_CALLS))
+    def test_tol_takes_numpy_numbers(self, name):
+        assert TOL_CALLS[name](np.float64(1e-9)) == TOL_CALLS[name](1e-9)
+
+    @pytest.mark.parametrize("dim", [3.0, True, "3"])
+    def test_commutant_dim_refuses_non_integers(self, dim):
+        with pytest.raises(ValueError, match="integers"):
+            commutant_is_scalar([perm_matrix("S12")], dim)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_commutant_dim_refuses_empty_spaces(self, dim):
+        with pytest.raises(ValueError, match="at least 1"):
+            commutant_is_scalar([], dim)
+
+    def test_commutant_dim_takes_numpy_integers(self):
+        gens = [perm_matrix("S12")]
+        assert commutant_is_scalar(gens, np.int64(3)) == commutant_is_scalar(gens, 3)
 
 
 class TestNumpyNumbers:

@@ -98,7 +98,7 @@ def _dense_best_responses(game, spec_or_j, mesh, responder):
     """best_response_table by argmax over the full tables of the whole mesh."""
     j = build_entangler(spec_or_j) if isinstance(spec_or_j, EntanglerSpec) else spec_or_j
     angles = mesh_angle_array(mesh)
-    p1, p2 = _kernels.payoff_block(angles, angles, j, game.outcome_payoffs())
+    p1, p2 = _kernels.payoff_block(angles, angles, _kernels.weights(j, game.outcome_payoffs()))
     # rows: the opponent's strategy; columns: the responder's
     pay = p2 if responder == 2 else p1.T
     return [set()] + [{int(k) + 1 for k in np.flatnonzero(row >= row.max() - TIE_TOL)} for row in pay]

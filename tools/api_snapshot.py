@@ -1,0 +1,128 @@
+"""Print the repr of a fixed list of qgame API results.
+
+Run it on two trees and diff the outputs to check that a change leaves the
+results of the search, best-response, certificate and Bayesian functions as
+they were, to the last bit of every float:
+
+    python tools/api_snapshot.py > after.txt
+    python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
+    diff before.txt after.txt
+
+Every call runs in this process, in the order listed, and takes a few
+seconds in all. A call that raises ValueError prints the error's repr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import sys
+
+
+def _random_unitary(np, seed):
+    """A fixed 4x4 unitary: QR of a seeded complex Gaussian matrix, phases fixed."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def calls(qgame, np):
+    """(label, thunk) pairs, in the order they run."""
+    custom = qgame.GameTable("custom", ((0.5, -10.0), (-1.5, -5.0)), ((-2.0, -1.5), (-10.0, -4.75)))
+    games = (qgame.DA_BROTHER, qgame.PRISONER_DILEMMA, custom)
+    specs = [qgame.EntanglerSpec("j1", b) for b in (0.0, 0.5, 1.2, math.pi / 2)]
+    specs += [qgame.EntanglerSpec("j2", b) for b in (0.7, math.pi / 2)]
+    specs.append(qgame.EntanglerSpec("identity"))
+    for game in games:
+        for spec in specs:
+            # (5, 9, 17) has 194 payoff classes, more than one kernel row block
+            for mesh in (qgame.MeshSpec(3, 5, 5), qgame.MeshSpec(5, 9, 9), qgame.MeshSpec(5, 9, 17)):
+                for use_matrix in (False, True):
+                    yield (
+                        f"find_pure_ne {game.name} {spec} {mesh} use_matrix={use_matrix}",
+                        lambda g=game, s=spec, m=mesh, d=use_matrix: qgame.find_pure_ne(g, s, m, d),
+                    )
+    unitary = _random_unitary(np, 7)
+    for game in games:
+        for spec_or_j, name in ((specs[2], "j1(1.2)"), (specs[4], "j2(0.7)"), (unitary, "unitary(seed 7)")):
+            for responder in (1, 2):
+                yield (
+                    f"best_response_table {game.name} {name} responder={responder}",
+                    lambda g=game, s=spec_or_j, r=responder: qgame.best_response_table(
+                        g, s, qgame.MeshSpec(5, 9, 17), r
+                    ),
+                )
+    betas = [k * math.pi / 18 for k in range(10)]
+    for game in games[:2]:
+        for family in ("j1", "j2"):
+            yield (
+                f"sweep_beta {game.name} {family}",
+                lambda g=game, f=family: qgame.sweep_beta(g, f, qgame.MeshSpec(5, 9, 9), betas),
+            )
+    for form in ("psi_plus", "triplet"):
+        for game in games:
+            for seed in (0, 1):
+                yield (
+                    f"no_psne_certificate {form} {game.name} seed={seed}",
+                    lambda f=form, g=game, s=seed: qgame.no_psne_certificate(f, 300, g, s),
+                )
+    rng = np.random.default_rng(11)
+    high = (2 * math.pi, 2 * math.pi, math.pi)
+    profiles = [
+        qgame.BayesProfile(*(qgame.StrategyAngles(*rng.uniform(0.0, high).tolist()) for _ in range(3)))
+        for _ in range(8)
+    ]
+    # player 1 gains more from mutual silence; player 2's types are the built-in ones
+    generous = [
+        qgame.GameTable(f"generous_{t.name}", ((3.0, -10.0), (-1.0, -5.0)), t.u2)
+        for t in (qgame.bayes.GAME_TYPE_I, qgame.bayes.GAME_TYPE_II)
+    ]
+    bayes_specs = [qgame.BayesSpec(mu) for mu in (0.0, 0.1, 0.5, 1.0)]
+    bayes_specs.append(qgame.BayesSpec(0.3, *generous))
+    # a type table whose candidate reply is not its best reply: bayes_ne_check refuses it
+    bayes_specs.append(qgame.BayesSpec(0.3, custom, qgame.DA_BROTHER))
+    for k, spec in enumerate(bayes_specs):
+        for i, prof in enumerate(profiles):
+            yield f"bayes_payoffs spec={k} profile={i}", lambda s=spec, p=prof: qgame.bayes_payoffs(s, p)
+    for mu in (0.0, 0.1, 1 / 6, 0.5):
+        for mesh in (qgame.MeshSpec(5, 9, 11), qgame.MeshSpec(9, 17, 17)):
+            yield f"bayes_ne_check mu={mu!r} {mesh}", lambda m=mu, g=mesh: qgame.bayes_ne_check(m, g)
+    for k in (4, 5):
+        yield (
+            f"bayes_ne_check mu=0.3 spec={k}",
+            lambda s=bayes_specs[k]: qgame.bayes_ne_check(0.3, qgame.MeshSpec(5, 9, 11), s),
+        )
+    angles = [prof.g1 for prof in profiles]
+    m1 = qgame.MixedStrategy.uniform(angles[:3])
+    m2 = qgame.MixedStrategy(((angles[3], 0.25), (angles[4], 0.75)))
+    for spec in specs[1:5]:
+        for game in games:
+            yield (
+                f"mixed_payoff {game.name} {spec}",
+                lambda s=spec, g=game: qgame.mixed_payoff(m1, m2, qgame.build_entangler(s), g),
+            )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    default_src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    parser.add_argument("--src", default=default_src, help="the src directory holding the qgame package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+
+    import qgame
+
+    for label, thunk in calls(qgame, np):
+        print(f"# {label}")
+        try:
+            print(repr(thunk()))
+        except ValueError as exc:
+            print(f"raised {exc!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
