@@ -3,9 +3,12 @@
 The protocol: the referee entangles |00> with J, each player applies an
 SU(2) strategy to their own qubit, the referee applies J^dag, and payoffs
 are the squared final amplitudes weighted by the classical payoff table.
-final_state evaluates the protocol with matrices; the closed forms here are
-reference formulas for J1 and J2. Mesh-wide payoff tables for any J come
-from the bilinear kernel in _kernels.
+final_state evaluates the protocol with matrices for one pair: it gives the
+amplitudes, and through payoffs the payoffs, that `qgame payoff` prints, and
+it is the oracle that verify and the tests check the kernel against. Every
+other payoff, mixed_payoff's included, comes from the bilinear kernel in
+_kernels, for any J. The closed forms here are reference formulas for J1
+and J2.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .entanglers import EntanglerSpec, entangler_matrix
 from .linalg import _require_real, dagger, tensor
 from .strategies import StrategyAngles, su2_from_angles
@@ -195,14 +199,18 @@ class MixedStrategy:
 def mixed_payoff(
     m1: MixedStrategy, m2: MixedStrategy, j: np.ndarray, game: GameTable
 ) -> PayoffPair:
-    """Expected payoffs when both players randomize independently."""
-    tot1 = tot2 = 0.0
-    for g1, p1 in m1.support:
-        for g2, p2 in m2.support:
-            pay = payoffs(final_state(j, g1, g2), game)
-            tot1 += p1 * p2 * pay.p1
-            tot2 += p1 * p2 * pay.p2
-    return PayoffPair(tot1, tot2)
+    """Expected payoffs when both players randomize independently.
+
+    Player p's expected payoff is q1^T P[p] q2, with q1 and q2 the support
+    probabilities and P the payoffs of every support pair: one
+    _kernels.payoff_block call under the W of (j, game), not final_state.
+    ValueError unless j is a unitary 4x4 matrix.
+    """
+    w = _kernels.weights(entangler_matrix(j), game.outcome_payoffs())
+    angles1, angles2 = (np.array([g.as_tuple() for g, _ in m.support]) for m in (m1, m2))
+    q1, q2 = (np.array([p for _, p in m.support]) for m in (m1, m2))
+    p1, p2 = (q1 @ _kernels.payoff_block(angles1, angles2, w) @ q2).tolist()
+    return PayoffPair(p1, p2)
 
 
 def _read_json(path: str):

@@ -147,11 +147,16 @@ def find_pure_ne(
 
 
 def sweep_beta(game: GameTable, family: str, mesh: MeshSpec, betas) -> list[NeResult]:
-    """find_pure_ne at each beta of an ascending grid."""
+    """find_pure_ne at each beta of an ascending grid.
+
+    Every beta is checked, and its EntanglerSpec built, before the first
+    search, so a refused beta costs no search.
+    """
     betas = [_require_real(b, "beta") for b in betas]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be sorted ascending")
-    return [find_pure_ne(game, EntanglerSpec(family, b), mesh) for b in betas]
+    specs = [EntanglerSpec(family, b) for b in betas]
+    return [find_pure_ne(game, spec, mesh) for spec in specs]
 
 
 def threshold_beta(results: list[NeResult]):

@@ -186,6 +186,29 @@ class TestBetaStepBudget:
         assert code == 0
 
 
+class TestBetaRange:
+    def test_out_of_range_beta_exits_2_before_any_search(self, capsys, monkeypatch):
+        searched = []
+        monkeypatch.setattr("qgame.search.find_pure_ne", lambda *args: searched.append(args))
+        code, out, err = run(
+            capsys,
+            "sweep-beta",
+            "--game",
+            "da_brother",
+            "--mesh",
+            "5,9,9",
+            "--beta-min",
+            "1.5",
+            "--beta-max",
+            "1.6",
+            "--beta-steps",
+            "5",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: beta out of range [0, pi/2]: 1.575")
+        assert searched == []
+
+
 class TestSweepBeta:
     def test_csv_shape_and_summary(self, capsys):
         code, out, _ = run(

@@ -36,6 +36,34 @@ angle_triples = st.tuples(
 )
 
 
+def _random_unitary(seed):
+    """QR of a seeded complex Gaussian 4x4 matrix, with the phases of R's diagonal fixed."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _dyadic_mixture(gs, cuts):
+    """gs weighted by the gaps between 0, the sorted cuts and 16, over 16: dyadic, summing to exactly 1."""
+    bounds = [0, *sorted(cuts), 16]
+    return MixedStrategy(
+        tuple((StrategyAngles(*g), (b - a) / 16) for g, a, b in zip(gs, bounds, bounds[1:]))
+    )
+
+
+# supports of 1 to 4 strategies with distinct cuts, so every weight is positive
+mixed_strategies = st.integers(1, 4).flatmap(
+    lambda n: st.builds(
+        _dyadic_mixture,
+        st.lists(angle_triples, min_size=n, max_size=n),
+        st.lists(st.integers(1, 15), min_size=n - 1, max_size=n - 1, unique=True),
+    )
+)
+integer_grids = st.tuples(*[st.tuples(st.integers(-10, 10), st.integers(-10, 10))] * 2)
+integer_tables = st.builds(GameTable, st.just("random_integer"), integer_grids, integer_grids)
+
+
 class TestGameTable:
     def test_builtin_values(self):
         assert PRISONER_DILEMMA.u1 == ((-4, -6), (-2, -5))
@@ -179,6 +207,34 @@ class TestMixedStrategy:
         # average of outcomes (0,0) and (1,0)
         assert abs(pay.p1 - (-3.0)) < 1e-12
         assert abs(pay.p2 - (-5.0)) < 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m1=mixed_strategies,
+        m2=mixed_strategies,
+        game=st.one_of(st.sampled_from(list(BUILTIN_GAMES.values())), integer_tables),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_payoff_matches_the_protocol(self, seed, m1, m2, game):
+        # the kernel's expected payoff against the probability-weighted sum of
+        # the matrix protocol's payoffs over every support pair
+        j = _random_unitary(seed)
+        pay = mixed_payoff(m1, m2, j, game)
+        ref1 = ref2 = 0.0
+        for g1, p1 in m1.support:
+            for g2, p2 in m2.support:
+                one = payoffs(final_state(j, g1, g2), game)
+                ref1 += p1 * p2 * one.p1
+                ref2 += p1 * p2 * one.p2
+        assert type(pay.p1) is float and type(pay.p2) is float
+        assert abs(pay.p1 - ref1) < 1e-12
+        assert abs(pay.p2 - ref2) < 1e-12
+
+    @pytest.mark.parametrize("j", [2 * np.eye(4), np.ones((4, 4)), np.eye(3), np.eye(8), np.eye(4)[:, :3]])
+    def test_mixed_payoff_refuses_a_bad_entangler(self, j):
+        m = MixedStrategy.uniform([ORIGIN, FLIP])
+        with pytest.raises(ValueError, match="unitary 4x4"):
+            mixed_payoff(m, m, j, PRISONER_DILEMMA)
 
 
 class TestGameIO:

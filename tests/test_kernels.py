@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgame import _kernels, bayes, search
+from qgame import _kernels, bayes, games, search
 from qgame.entanglers import EntanglerSpec, build_entangler
 from qgame.games import (
     DA_BROTHER,
@@ -202,3 +202,20 @@ def test_each_caller_builds_w_once(monkeypatch):
     for _ in range(100):
         bayes.bayes_payoffs(bspec, prof)
     assert len(built) <= 2
+    # a mixed payoff: one W and one payoff_block for every support pair, no
+    # matrix protocol
+    blocks, states = [], []
+    payoff_block = _kernels.payoff_block
+
+    def counted_block(angles1, angles2, w):
+        blocks.append(1)
+        return payoff_block(angles1, angles2, w)
+
+    monkeypatch.setattr(_kernels, "payoff_block", counted_block)
+    monkeypatch.setattr(games, "final_state", lambda *args: states.append(1))
+    built.clear()
+    gs = [StrategyAngles(0.1 * k, 0.2 * k, 0.3 * k) for k in range(1, 5)]
+    m1 = games.MixedStrategy.uniform(gs[:3])
+    m2 = games.MixedStrategy(((gs[3], 0.25), (gs[0], 0.75)))
+    games.mixed_payoff(m1, m2, build_entangler(spec), PRISONER_DILEMMA)
+    assert (len(built), len(blocks), len(states)) == (1, 1, 0)

@@ -132,6 +132,14 @@ class TestCommutant:
         gens = [perm_matrix("S12"), perm_matrix("S13")]
         scalar_only, dim = commutant_is_scalar(gens, 3)
         assert (scalar_only, dim) == (False, 2)
+        # I and E commute with all six permutations and are linearly
+        # independent, so they span that two-dimensional commutant
+        basis = [np.eye(3), np.ones((3, 3))]
+        for m in basis:
+            for name in _PERMS:
+                p = perm_matrix(name)
+                assert np.array_equal(p @ m, m @ p)
+        assert np.linalg.matrix_rank(np.stack([m.ravel() for m in basis])) == 2
 
     def test_all_ones_matrix_is_in_the_commutant(self):
         ones = np.ones((3, 3))

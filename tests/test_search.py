@@ -229,6 +229,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_beta(DA_BROTHER, "j1", SMALL, [0.5, 0.1])
 
+    def test_out_of_range_beta_is_refused_before_any_search(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr("qgame.search.find_pure_ne", lambda *args: searched.append(args))
+        with pytest.raises(ValueError, match=r"beta out of range \[0, pi/2\]: 1.575"):
+            sweep_beta(DA_BROTHER, "j1", SMALL, np.linspace(1.5, 1.6, 5))
+        assert searched == []
+
 
 # the floats next to 0, pi/2, pi, 3*pi/2 and 2*pi inside [0, 2*pi]
 NEXT_TO_QUARTERS = [

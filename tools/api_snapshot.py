@@ -1,8 +1,8 @@
 """Print the repr of a fixed list of qgame API results.
 
 Run it on two trees and diff the outputs to check that a change leaves the
-results of the search, best-response, certificate and Bayesian functions as
-they were, to the last bit of every float:
+results of the search, best-response, certificate, Bayesian and mixed-payoff
+functions as they were, to the last bit of every float:
 
     python tools/api_snapshot.py > after.txt
     python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
@@ -103,6 +103,18 @@ def calls(qgame, np):
                 f"mixed_payoff {game.name} {spec}",
                 lambda s=spec, g=game: qgame.mixed_payoff(m1, m2, qgame.build_entangler(s), g),
             )
+    # unequal dyadic weights, each support summing to exactly 1
+    wide1 = qgame.MixedStrategy(tuple(zip(angles[:5], (0.5, 0.125, 0.0625, 0.25, 0.0625))))
+    wide2 = qgame.MixedStrategy(tuple(zip(angles[4:], (0.375, 0.25, 0.125, 0.25))))
+    for game in games:
+        yield (
+            f"mixed_payoff 5x4 {game.name} unitary(seed 7)",
+            lambda g=game: qgame.mixed_payoff(wide1, wide2, unitary, g),
+        )
+    yield (
+        "mixed_payoff non-unitary j",
+        lambda: qgame.mixed_payoff(m1, m2, 2.0 * np.eye(4), qgame.PRISONER_DILEMMA),
+    )
 
 
 def main(argv=None) -> int:
