@@ -34,6 +34,9 @@ USE_NUMBA = False  # there is no compiled backend; kept for tools that report th
 # one player's payoffs (BLOCK_ROWS x N doubles) stays in cache.
 BLOCK_ROWS = 128
 
+# A reply within TIE_TOL of the best payoff counts as a best reply.
+TIE_TOL = 1e-9
+
 # U = sum_a q_a _BASIS[a]
 _BASIS = np.array(
     [np.eye(2), [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]], dtype=complex
@@ -80,7 +83,7 @@ def pair_payoffs(angles1, angles2, w) -> np.ndarray:
     return np.einsum("...ij,ij->...i", _features(angles1) @ w, _features(angles2))
 
 
-def pure_ne_pairs(angles, w, tol=1e-9):
+def pure_ne_pairs(angles, w, tol=TIE_TOL):
     """Mutual-best-response pairs without materializing the full tables.
 
     Two passes over row blocks: the first accumulates the column maxima of
@@ -94,12 +97,11 @@ def pure_ne_pairs(angles, w, tol=1e-9):
     f = _features(angles)
     n = f.shape[0]
     w1, w2 = w
-    g1 = w1.T @ f.T
+    h1 = f @ w1
     colmax1 = np.empty(n)
     for i0 in range(0, n, BLOCK_ROWS):
-        colmax1[i0 : i0 + BLOCK_ROWS] = (f[i0 : i0 + BLOCK_ROWS] @ g1).max(axis=1)
+        colmax1[i0 : i0 + BLOCK_ROWS] = (f[i0 : i0 + BLOCK_ROWS] @ h1.T).max(axis=1)
     g2 = w2 @ f.T
-    h1 = f @ w1
     rows, cols = [], []
     for i0 in range(0, n, BLOCK_ROWS):
         p2 = f[i0 : i0 + BLOCK_ROWS] @ g2

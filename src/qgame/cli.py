@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bayes import BayesSpec, bayes_ne_check
-from .entanglers import EntanglerSpec
+from .entanglers import EntanglerSpec, build_entangler
 from .games import (
     PRISONER_DILEMMA,
     _check_object,
@@ -27,7 +27,6 @@ from .games import (
     payoffs,
     resolve_game,
 )
-from .entanglers import build_entangler
 from .mesh import MeshSpec
 from .qutrits import entangled_initial_state, max_entangling_beta
 from .search import find_pure_ne, mixed_cycle, sweep_beta, threshold_beta

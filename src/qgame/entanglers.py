@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _require_real, _require_tol, commutator, is_unitary, tensor
+from .linalg import DEFAULT_TOL, _is_rank_one, _require_real, _require_tol, commutator, is_unitary, tensor
 from .strategies import classical_gate
 
 Y_TENSOR_Y = tensor(classical_gate("Y"), classical_gate("Y"))
@@ -19,8 +19,9 @@ _FAMILIES = ("j1", "j2", "identity")
 class EntanglerSpec:
     """Entangler family ("j1", "j2" or "identity") plus angle beta.
 
-    beta runs over [0, pi/2] with beta=pi/2 maximally entangling;
-    family="identity" ignores beta.
+    beta runs over [0, pi/2] with beta=pi/2 maximally entangling.
+    family="identity" builds the identity whatever beta is, but beta is
+    still checked against [0, pi/2] (ValueError outside it).
     """
 
     family: str
@@ -127,6 +128,4 @@ def is_product_state(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     coefficient matrix [[a, b], [c, d]] has rank 1, i.e. |ad - bc| <= tol.
     """
     tol = _require_tol(tol)
-    s = np.asarray(s, dtype=complex).reshape(4)
-    a, b, c, d = s
-    return bool(abs(a * d - b * c) <= tol)
+    return _is_rank_one(np.asarray(s, dtype=complex).reshape(2, 2), tol)

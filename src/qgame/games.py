@@ -94,9 +94,8 @@ def final_state(j: np.ndarray, g1: StrategyAngles, g2: StrategyAngles) -> np.nda
     """Final four amplitudes J^dag (U1 x U2) J |00>; ValueError unless j is a unitary 4x4 matrix."""
     j = entangler_matrix(j)
     u = tensor(su2_from_angles(g1), su2_from_angles(g2))
-    e0 = np.zeros(4, dtype=complex)
-    e0[0] = 1.0
-    return dagger(j) @ (u @ (j @ e0))
+    # J|00> is the first column of J
+    return dagger(j) @ (u @ j[:, 0])
 
 
 def payoffs(amps: np.ndarray, game: GameTable) -> PayoffPair:

@@ -6,11 +6,12 @@ tuning; clarity and exactness of the structural predicates are what matter.
 
 Every number that enters qgame from outside, tolerances and sizes too,
 passes _require_real or _require_integer. They live here, below every other
-module, and strategies re-exports them.
+module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -99,11 +100,22 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary requires a square matrix, got shape {m.shape}")
     tol = _require_tol(tol)
-    eye = np.eye(m.shape[0])
-    return (
-        np.abs(m @ dagger(m) - eye).max() <= tol
-        and np.abs(dagger(m) @ m - eye).max() <= tol
-    )
+    return _unitarity_error(m) <= tol and _unitarity_error(dagger(m)) <= tol
+
+
+def _unitarity_error(m: np.ndarray) -> float:
+    """max |M M^dag - I|, entrywise, of a square complex array M."""
+    return np.abs(m @ dagger(m) - np.eye(m.shape[0])).max()
+
+
+def _is_rank_one(m: np.ndarray, tol: float) -> bool:
+    """True iff every 2x2 minor of m is within tol of 0 (a NaN minor is not): rank at most one."""
+    rows, cols = m.shape
+    for r1, r2 in itertools.combinations(range(rows), 2):
+        for c1, c2 in itertools.combinations(range(cols), 2):
+            if not abs(m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1]) <= tol:
+                return False
+    return True
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .linalg import _require_integer, _require_real, _require_tol, tensor
+from .linalg import DEFAULT_TOL, _is_rank_one, _require_integer, _require_real, _require_tol, tensor
 
 _PERMS = {
     "I3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -111,7 +111,7 @@ def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:
         if g.shape != (dim, dim):
             raise ValueError(f"generator shape {g.shape} does not match dim {dim}")
         # row-major vec: vec([A, G]) = (I kron G^T - G kron I) vec(A)
-        rows.append(np.kron(eye, g.T) - np.kron(g, eye))
+        rows.append(tensor(eye, g.T) - tensor(g, eye))
     sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
     dimension = dim * dim - int((sv >= 1e-10).sum())
     return dimension == 1, dimension
@@ -119,24 +119,14 @@ def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:
 
 def qutrit_tensor(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Tensor product of two single-qutrit states (row-major |ij> layout)."""
-    q1 = np.asarray(q1, dtype=complex).reshape(3)
-    q2 = np.asarray(q2, dtype=complex).reshape(3)
-    return np.kron(q1, q2)
+    return tensor(np.reshape(q1, 3), np.reshape(q2, 3))
 
 
-def is_qutrit_product(state: np.ndarray, tol: float = 1e-12) -> bool:
+def is_qutrit_product(state: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff a two-qutrit state factors into two single-qutrit states.
 
     The 3x3 coefficient matrix must have rank 1, i.e. all 2x2 minors
     vanish within tol.
     """
     tol = _require_tol(tol)
-    m = np.asarray(state, dtype=complex).reshape(3, 3)
-    for r1 in range(3):
-        for r2 in range(r1 + 1, 3):
-            for c1 in range(3):
-                for c2 in range(c1 + 1, 3):
-                    minor = m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1]
-                    if abs(minor) > tol:
-                        return False
-    return True
+    return _is_rank_one(np.asarray(state, dtype=complex).reshape(3, 3), tol)

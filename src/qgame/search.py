@@ -10,13 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import TIE_TOL
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
 from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
 from .linalg import _require_integer, _require_real
 from .mesh import MeshSpec, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
-
-TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def find_pure_ne(
     else:
         layout = _class_layout(mesh)
         members = layout.members
-        a, b = _kernels.pure_ne_pairs(layout.rep_angles, w, TIE_TOL)
+        a, b = _kernels.pure_ne_pairs(layout.rep_angles, w)
         pairs = sorted(
             (i, k) for c, d in zip(a.tolist(), b.tolist()) for i in members[c] for k in members[d]
         )
@@ -161,8 +160,7 @@ def sweep_beta(game: GameTable, family: str, mesh: MeshSpec, betas) -> list[NeRe
 
 def threshold_beta(results: list[NeResult]):
     """Largest swept beta at which an equilibrium was found, or None."""
-    found = [r.beta for r in results if r.found]
-    return found[-1] if found else None
+    return max((r.beta for r in results if r.found), default=None)
 
 
 def analytic_best_response(responder: int, form: str, g_opp: StrategyAngles) -> StrategyAngles:

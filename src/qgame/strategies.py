@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the number rule lives in linalg, below every module; strategies re-exports it
-from .linalg import GELL_MANN, _require_integer, _require_real, expm_structured  # noqa: F401
+from .linalg import GELL_MANN, _require_real, expm_structured
 
 TWO_PI = 2.0 * math.pi
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import DA_BROTHER, closed_form_sq_amplitudes, final_state, payoffs
-from .linalg import is_unitary
+from .linalg import _unitarity_error, is_unitary
 from .mesh import MeshSpec, mesh_angle_array
 from .search import analytic_best_response, find_pure_ne
 from .strategies import TWO_PI, StrategyAngles, su2_from_angles, su3_from_angles
@@ -29,11 +29,11 @@ def check_strategy_unitarity(rng, samples=200):
     worst = 0.0
     for _ in range(samples):
         u = su2_from_angles(_random_angles(rng))
-        worst = max(worst, np.abs(u @ u.conj().T - np.eye(2)).max())
+        worst = max(worst, _unitarity_error(u))
         worst = max(worst, abs(np.linalg.det(u) - 1.0))
     for _ in range(samples // 4):
         v = su3_from_angles(rng.uniform(0, TWO_PI, size=8))
-        worst = max(worst, np.abs(v @ v.conj().T - np.eye(3)).max())
+        worst = max(worst, _unitarity_error(v))
     return "strategy_unitarity", worst <= 1e-10, worst
 
 
@@ -45,7 +45,7 @@ def check_entangler_unitarity(rng, samples=100):
             j = build_entangler(EntanglerSpec(family, beta))
             if not is_unitary(j, 1e-12):
                 return "entangler_unitarity", False, float("inf")
-            worst = max(worst, np.abs(j @ j.conj().T - np.eye(4)).max())
+            worst = max(worst, _unitarity_error(j))
     return "entangler_unitarity", worst <= 1e-12, worst
 
 

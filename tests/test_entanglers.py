@@ -32,6 +32,10 @@ class TestEntanglerSpec:
         with pytest.raises(ValueError):
             EntanglerSpec("j1", beta)
 
+    def test_identity_ignores_beta_but_still_checks_it(self):
+        with pytest.raises(ValueError, match="beta out of range"):
+            EntanglerSpec("identity", 2.0)
+
 
 class TestBuildEntangler:
     def test_identity_family(self):

@@ -135,6 +135,12 @@ def test_pure_ne_pairs_equal_dense_mask(j, u, mesh):
     assert _pairs(_kernels.pure_ne_pairs(angles, w)) == _dense_ne_pairs(angles, j, u)
 
 
+def test_one_tie_tolerance():
+    # the search, the Bayesian check and the kernel's default apply one TIE_TOL
+    assert search.TIE_TOL is _kernels.TIE_TOL is bayes.TIE_TOL
+    assert _kernels.pure_ne_pairs.__defaults__ == (_kernels.TIE_TOL,)
+
+
 def test_pure_ne_pairs_spans_several_blocks():
     # more strategies than one row block holds, so both passes cross blocks
     angles = mesh_angle_array(MeshSpec(5, 9, 17))

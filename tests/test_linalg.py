@@ -18,7 +18,8 @@ from qgame.linalg import (
     is_unitary,
     tensor,
 )
-from qgame.qutrits import perm_matrix
+from qgame.entanglers import is_product_state
+from qgame.qutrits import is_qutrit_product, perm_matrix, qutrit_tensor
 from qgame.strategies import StrategyAngles, classical_gate, su2_from_angles
 
 E0 = np.array([1, 0], dtype=complex)
@@ -168,3 +169,39 @@ def test_tensor_of_unitaries_is_unitary(seed):
     ]
     u = tensor(su2_from_angles(gs[0]), su2_from_angles(gs[1]))
     assert is_unitary(u, 1e-12)
+
+
+def _unit_vector(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+class TestRankOne:
+    """is_product_state and is_qutrit_product share one rank-one test, at sizes 2x2 and 3x3."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_products_of_unit_vectors_are_products(self, seed):
+        rng = np.random.default_rng(seed)
+        assert is_product_state(tensor(_unit_vector(rng, 2), _unit_vector(rng, 2)))
+        assert is_qutrit_product(qutrit_tensor(_unit_vector(rng, 3), _unit_vector(rng, 3)))
+
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, math.sqrt(0.5)))
+    @settings(max_examples=100)
+    def test_schmidt_rank_two_states_are_not_products(self, seed, small):
+        # small |u0 v0> + large |u1 v1> with orthonormal u0, u1 and v0, v1
+        rng = np.random.default_rng(seed)
+        large = math.sqrt(1.0 - small * small)
+        for dim, predicate in ((2, is_product_state), (3, is_qutrit_product)):
+            u, v = _unitary(rng, dim), _unitary(rng, dim)
+            state = small * np.kron(u[:, 0], v[:, 0]) + large * np.kron(u[:, 1], v[:, 1])
+            assert not predicate(state)
+
+    def test_a_state_with_nan_is_not_a_product(self):
+        assert not is_product_state([math.nan, 0, 0, 0])
+        assert not is_qutrit_product([math.nan] + [0] * 8)

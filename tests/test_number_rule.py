@@ -22,11 +22,11 @@ from qgame.entanglers import (
     partial_state,
 )
 from qgame.games import DA_BROTHER, GameFormatError, GameTable, MixedStrategy
-from qgame.linalg import is_unitary
+from qgame.linalg import _require_integer, _require_real, is_unitary
 from qgame.mesh import MeshSpec, angles_to_index, index_to_angles
 from qgame.qutrits import commutant_is_scalar, is_qutrit_product, perm_matrix, qutrit_entangler
 from qgame.search import analytic_best_response, best_response_table, find_pure_ne, sweep_beta
-from qgame.strategies import StrategyAngles, _require_integer, _require_real, su3_from_angles
+from qgame.strategies import StrategyAngles, su3_from_angles
 
 ORIGIN = StrategyAngles(0.0, 0.0, 0.0)
 HUGE = 10**400  # a JSON integer beyond the float range

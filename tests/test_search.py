@@ -19,6 +19,7 @@ from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_ar
 from qgame.search import (
     _SNAP,
     TIE_TOL,
+    NeResult,
     analytic_best_response,
     best_response_table,
     find_pure_ne,
@@ -220,6 +221,11 @@ class TestSweep:
         results = sweep_beta(DA_BROTHER, "j1", SMALL, betas)
         bc = threshold_beta(results)
         assert bc is not None and 0.0 < bc < math.pi / 2
+
+    def test_threshold_is_the_largest_found_beta_in_any_order(self):
+        results = [NeResult(1.0, True, ()), NeResult(0.5, True, ()), NeResult(1.2, False, ())]
+        assert threshold_beta(results) == 1.0
+        assert threshold_beta(results[::-1]) == 1.0
 
     def test_threshold_none_when_never_found(self):
         results = sweep_beta(DA_BROTHER, "j1", SMALL, [math.pi / 2])

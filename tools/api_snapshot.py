@@ -2,7 +2,9 @@
 
 Run it on two trees and diff the outputs to check that a change leaves the
 results of the search, best-response, certificate, Bayesian and mixed-payoff
-functions as they were, to the last bit of every float:
+functions, the protocol's final amplitudes and the structural predicates
+(product states, tensor products, commutants, unitarity) as they were, to
+the last bit of every float:
 
     python tools/api_snapshot.py > after.txt
     python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
@@ -115,6 +117,75 @@ def calls(qgame, np):
         "mixed_payoff non-unitary j",
         lambda: qgame.mixed_payoff(m1, m2, 2.0 * np.eye(4), qgame.PRISONER_DILEMMA),
     )
+    yield from _structure_calls(qgame, np, angles, unitary)
+
+
+def _structure_calls(qgame, np, angles, unitary):
+    """Final amplitudes, product predicates, tensor products, commutants, unitarity, thresholds."""
+    poles = [qgame.StrategyAngles(0.0, 0.0, 0.0), qgame.StrategyAngles(0.0, 0.0, math.pi)]
+    poles.append(qgame.StrategyAngles(math.pi / 2, 0.0, 0.0))
+    strategies = poles + angles[:3]
+    js = [
+        (f"{f}({b!r})", qgame.build_entangler(qgame.EntanglerSpec(f, b)))
+        for f in ("j1", "j2")
+        for b in (0.0, 0.5, math.pi / 2)
+    ]
+    js += [("identity", np.eye(4)), ("unitary(seed 7)", unitary)]
+    for name, j in js:
+        for g1 in strategies:
+            for g2 in strategies[::2]:
+                # tolist: the repr of each complex amplitude, to the last bit
+                yield f"final_state {name} {g1} {g2}", lambda j=j, a=g1, b=g2: qgame.final_state(j, a, b).tolist()
+    rng = np.random.default_rng(13)
+    qubits = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2)]
+    qutrits = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2)]
+    two_qubit = {
+        "product": qgame.tensor(*qubits),
+        "bell psi_plus": qgame.bell_state("psi_plus"),
+        "partial T(0.3)": qgame.partial_state("T", 0.3),
+    }
+    two_qutrit = {
+        "product": qgame.qutrit_tensor(*qutrits),
+        "J(2pi/9)|00>": qgame.qutrit_entangler(2 * math.pi / 9)[:, 0],
+        "J(0.1)|00>": qgame.qutrit_entangler(0.1)[:, 0],
+    }
+    # a minor of 0.9e-12 or 1.1e-12 against the default tolerance 1e-12
+    for eps in (0.9e-12, 1.1e-12):
+        two_qubit[f"|00> + {eps!r}|11>"] = np.array([1.0, 0.0, 0.0, eps])
+        two_qutrit[f"|00> + {eps!r}|22>"] = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, eps])
+        two_qutrit[f"|11> + {eps!r}|22>"] = np.array([0, 0, 0, 0, 1.0, 0, 0, 0, eps])
+    for label, state in two_qubit.items():
+        yield f"is_product_state {label}", lambda s=state: qgame.is_product_state(s)
+        yield f"is_product_state {label} tol=1e-3", lambda s=state: qgame.is_product_state(s, 1e-3)
+    for label, state in two_qutrit.items():
+        yield f"is_qutrit_product {label}", lambda s=state: qgame.is_qutrit_product(s)
+        yield f"is_qutrit_product {label} tol=1e-3", lambda s=state: qgame.is_qutrit_product(s, 1e-3)
+    yield "qutrit_tensor random", lambda: qgame.qutrit_tensor(*qutrits).tolist()
+    yield "qutrit_tensor basis", lambda: qgame.qutrit_tensor([0, 1, 0], [0, 0, 1j]).tolist()
+    generator_sets = {
+        "S12 S13": ("S12", "S13"),
+        "S12": ("S12",),
+        "C123": ("C123",),
+        "all six": ("I3", "S12", "S13", "S23", "C123", "C132"),
+    }
+    for label, names in generator_sets.items():
+        yield (
+            f"commutant_is_scalar {label}",
+            lambda n=names: qgame.commutant_is_scalar([qgame.perm_matrix(x) for x in n], 3),
+        )
+    j1 = qgame.build_entangler(qgame.EntanglerSpec("j1", math.pi / 2))
+    for eps in (0.0, 1e-13, 1e-11):
+        bumped = j1.copy()
+        bumped[0, 1] += eps
+        yield f"is_unitary j1(pi/2) + {eps!r} at (0, 1)", lambda m=bumped: qgame.is_unitary(m)
+        yield f"is_unitary j1(pi/2) + {eps!r} at (0, 1) tol=1e-10", lambda m=bumped: qgame.is_unitary(m, 1e-10)
+    lists = {
+        "descending": [qgame.NeResult(1.0, True, ()), qgame.NeResult(0.5, True, ())],
+        "ascending": [qgame.NeResult(0.5, True, ()), qgame.NeResult(1.0, True, ()), qgame.NeResult(1.2, False, ())],
+        "none found": [qgame.NeResult(0.5, False, ())],
+    }
+    for label, results in lists.items():
+        yield f"threshold_beta {label}", lambda r=results: qgame.threshold_beta(r)
 
 
 def main(argv=None) -> int:
