@@ -18,9 +18,8 @@ GameTable.outcome_payoffs(), gives a stack of W, whose W[p] is bit for bit
 the W of row p alone, and one leading axis of payoffs per W: one call, both
 players.
 
-The features are even in q, so U and -U give equal payoffs, and they agree
-to rounding at phi, alpha = 0 and 2*pi; mesh.mesh_classes groups the mesh
-strategies by these identities, and the search runs on one per class.
+A strategy reaches a payoff only through f(q), so payoff_classes groups
+strategies by their features, and the search runs on one per class.
 Results are deterministic: every reduction is per row of a fixed block.
 """
 
@@ -111,3 +110,20 @@ def pure_ne_pairs(angles, w, tol=TIE_TOL):
         rows.append(i0 + i[keep])
         cols.append(k[keep])
     return np.concatenate(rows), np.concatenate(cols)
+
+
+def payoff_classes(angles):
+    """Payoff classes of the rows of angles as (reps, inverse), 0-based.
+
+    Rows whose features agree to 10 decimals form one class, represented by
+    its lowest row; reps holds those rows ascending and inverse[i] is the
+    class of row i, so reps[inverse] maps every row to its representative.
+    f(q) is equal exactly for q' = +-q, and two such rows agree to 1e-15, so
+    rounding splits a true class only for a value within 1e-15 of a rounding
+    boundary. A split is a refinement: the search runs one more
+    representative and lists the same pairs.
+    """
+    f = np.round(_features(angles), 10)
+    _, first, inverse = np.unique(f, axis=0, return_index=True, return_inverse=True)
+    reps = np.sort(first)
+    return reps, np.searchsorted(reps, first[inverse])

@@ -11,6 +11,8 @@ from .linalg import DEFAULT_TOL, _is_rank_one, _require_real, _require_tol, comm
 from .strategies import classical_gate
 
 Y_TENSOR_Y = tensor(classical_gate("Y"), classical_gate("Y"))
+# Y x I and I x Y: one player flips, the other plays the identity
+_CLASSICAL_FLIPS = [tensor(classical_gate(a), classical_gate(b)) for a, b in ("YI", "IY")]
 
 _FAMILIES = ("j1", "j2", "identity")
 
@@ -109,16 +111,18 @@ def partial_state(family: str, gamma: float) -> np.ndarray:
 
 
 def is_classically_commensurate(j: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff J commutes with Y x Y, i.e. [Y x Y, J] vanishes within tol.
+    """True iff J commutes with Y x I and with I x Y, each commutator within tol.
 
-    This is the condition under which the pair of classical gates {I, Y}
-    played inside the quantum protocol reproduces the classical game
-    outcomes. J must pass entangler_matrix (ValueError otherwise); tol
-    bounds only the commutator.
+    Then J commutes with U1 x U2 for every pair of classical gates {I, Y},
+    so played inside the quantum protocol they reproduce the classical game
+    outcomes (Eisert, Wilkens and Lewenstein, PRL 1999). Commuting with
+    Y x Y alone is not enough: SWAP does, and swaps the outcomes of (I, Y)
+    and (Y, I). J must pass entangler_matrix (ValueError otherwise); tol
+    bounds only the commutators.
     """
     tol = _require_tol(tol)
     j = entangler_matrix(j)
-    return bool(np.abs(commutator(Y_TENSOR_Y, j)).max() <= tol)
+    return all(np.abs(commutator(g, j)).max() <= tol for g in _CLASSICAL_FLIPS)
 
 
 def is_product_state(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -8,15 +8,6 @@ endpoints. The poles theta=0 and theta=pi each carry the single strategy
 Strategies are numbered 1..N_S in lexicographic order: index 1 is the
 theta=0 pole, index N_S the theta=pi pole, and interior indices run with
 theta slowest, then phi, then alpha fastest, all ascending.
-
-Many mesh strategies give equal payoffs against every opponent, since the
-payoff kernel sees a strategy only through the products of its quaternion
-(see _kernels), which are equal exactly for q and -q. mesh_classes groups
-the indices into these classes by index arithmetic: the pole phases are
-already dropped, the phase endpoints 0 and 2*pi coincide, and when both
-phase axes have an even number of steps, (phi, alpha) and
-(phi + pi, alpha + pi) give -U. The search runs on one representative per
-class and expands its results back to every mesh index.
 """
 
 from __future__ import annotations
@@ -26,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import payoff_classes
 from .linalg import _require_integer, _require_tol
 from .strategies import TWO_PI, StrategyAngles
 
@@ -131,26 +123,7 @@ def mesh_classes(mesh: MeshSpec):
 
     reps holds the lowest index of each class, ascending; inverse[i] is the
     class of index i, so reps[inverse] maps every index to its
-    representative. Two indices share a class exactly when their strategies
-    are equal up to sign.
+    representative. The classes are _kernels.payoff_classes of the mesh's
+    angle array.
     """
-    m_phi = max(mesh.n_phi - 1, 1)
-    m_alpha = max(mesh.n_alpha - 1, 1)
-    k_phi = np.arange(mesh.n_phi)[:, None] % m_phi
-    k_alpha = np.arange(mesh.n_alpha)[None, :] % m_alpha
-    # lowest (phi, alpha) offset within a theta slice; k = n - 1 wraps to 0
-    low = k_phi * mesh.n_alpha + k_alpha
-    if mesh.n_phi > 1 and mesh.n_alpha > 1 and m_phi % 2 == 0 and m_alpha % 2 == 0:
-        # shifting both phases by pi gives -U
-        turned = (k_phi + m_phi // 2) % m_phi * mesh.n_alpha + (k_alpha + m_alpha // 2) % m_alpha
-        low = np.minimum(low, turned)
-    per_theta = mesh.n_phi * mesh.n_alpha
-    n = mesh.n_strategies
-    lowest = np.empty(n, dtype=np.intp)
-    lowest[0] = 0
-    lowest[-1] = n - 1
-    lowest[1:-1] = (1 + per_theta * np.arange(mesh.n_theta - 2)[:, None] + low.ravel()).ravel()
-    is_rep = lowest == np.arange(n)
-    reps = np.flatnonzero(is_rep)
-    inverse = (np.cumsum(is_rep) - 1)[lowest]
-    return reps, inverse
+    return payoff_classes(mesh_angle_array(mesh))

@@ -14,7 +14,7 @@ from ._kernels import TIE_TOL
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
 from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
 from .linalg import _require_integer, _require_real
-from .mesh import MeshSpec, mesh_angle_array, mesh_classes
+from .mesh import MeshSpec, mesh_angle_array
 from .strategies import TWO_PI, StrategyAngles
 
 
@@ -60,7 +60,7 @@ def _class_layout(mesh: MeshSpec) -> _ClassLayout:
     those searches hold one int per index.
     """
     angles = mesh_angle_array(mesh)
-    reps, inverse = mesh_classes(mesh)
+    reps, inverse = _kernels.payoff_classes(angles)
     classes = inverse.tolist()
     members = [[] for _ in range(reps.size)]
     for label, c in enumerate(classes, 1):

@@ -208,6 +208,20 @@ class TestBetaRange:
         assert err.startswith("error: beta out of range [0, pi/2]: 1.575")
         assert searched == []
 
+    COMMANDS = [["search-ne", "--mesh", "3,5,5"], ["payoff", "--p1", "0,0,0", "--p2", "0,0,1"]]
+
+    @pytest.mark.parametrize("entangler", ["j1", "j2", "none"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_of_range_beta_exits_2_for_every_entangler(self, capsys, entangler, command):
+        code, out, err = run(capsys, *command, "--game", "da_brother", "--entangler", entangler, "--beta", "5")
+        assert code == 2 and out == ""
+        assert err == "error: beta out of range [0, pi/2]: 5.0\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_identity_reports_beta_zero(self, capsys, command):
+        code, out, _ = run(capsys, *command, "--game", "da_brother", "--entangler", "none", "--beta", "1.0")
+        assert code == 0 and json.loads(out)["beta"] == 0.0
+
 
 class TestSweepBeta:
     def test_csv_shape_and_summary(self, capsys):

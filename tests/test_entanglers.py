@@ -14,7 +14,10 @@ from qgame.entanglers import (
     is_product_state,
     partial_state,
 )
-from qgame.linalg import expm_structured, is_unitary
+from qgame.games import PRISONER_DILEMMA, final_state, payoffs
+from qgame.linalg import expm_structured, is_unitary, tensor
+from qgame.qutrits import commutant_is_scalar
+from qgame.strategies import StrategyAngles, classical_gate
 
 betas = st.floats(0, math.pi / 2)
 
@@ -131,6 +134,26 @@ class TestCommensurability:
 
     def test_identity_is_commensurate(self):
         assert is_classically_commensurate(np.eye(4), 1e-12)
+
+    def test_swap_is_not_commensurate(self):
+        # SWAP commutes with Y x Y, yet swaps the outcomes of (I, Y) and (Y, I)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        assert np.abs(swap @ Y_TENSOR_Y - Y_TENSOR_Y @ swap).max() == 0.0
+        cooperate, defect = StrategyAngles(0, 0, 0), StrategyAngles(0, 0, math.pi)
+        pay = payoffs(final_state(swap, cooperate, defect), PRISONER_DILEMMA)
+        assert (pay.p1, pay.p2) == (-2.0, -6.0)
+        assert PRISONER_DILEMMA.u1[0][1] == -6.0 and PRISONER_DILEMMA.u2[0][1] == -2.0
+        assert not is_classically_commensurate(swap, 1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, math.pi / 4, math.pi / 2])
+    def test_j2_is_never_commensurate(self, beta):
+        # J2(0) is not the identity: it swaps |00> and |01>
+        assert not is_classically_commensurate(build_entangler(EntanglerSpec("j2", beta)), 1e-12)
+
+    def test_single_flips_fix_a_smaller_commutant_than_the_double_flip(self):
+        y, eye = classical_gate("Y"), classical_gate("I")
+        assert commutant_is_scalar([tensor(y, eye), tensor(eye, y)], 4) == (False, 4)
+        assert commutant_is_scalar([Y_TENSOR_Y], 4) == (False, 8)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,16 @@ class TestMeshClasses:
 
     @given(mesh_specs)
     @settings(max_examples=100, deadline=None)
+    def test_class_count_follows_from_the_mesh_sizes(self, mesh):
+        # distinct phase steps per axis (0 and 2*pi coincide); halved when
+        # shifting both phases by pi, which gives -U, stays on the mesh
+        m_phi, m_alpha = max(mesh.n_phi - 1, 1), max(mesh.n_alpha - 1, 1)
+        k = 2 if m_phi % 2 == m_alpha % 2 == 0 else 1
+        reps, _ = mesh_classes(mesh)
+        assert reps.size == (mesh.n_theta - 2) * m_phi * m_alpha // k + 2
+
+    @given(mesh_specs)
+    @settings(max_examples=100, deadline=None)
     def test_members_share_their_representatives_features(self, mesh):
         reps, inverse = mesh_classes(mesh)
         f = _features(mesh_angle_array(mesh))

@@ -2,9 +2,10 @@
 
 Run it on two trees and diff the outputs to check that a change leaves the
 results of the search, best-response, certificate, Bayesian and mixed-payoff
-functions, the protocol's final amplitudes and the structural predicates
-(product states, tensor products, commutants, unitarity) as they were, to
-the last bit of every float:
+functions, the protocol's final amplitudes, the structural predicates
+(product states, tensor products, commutants, unitarity, classical
+commensurability) and the mesh's payoff classes as they were, to the last
+bit of every float:
 
     python tools/api_snapshot.py > after.txt
     python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
@@ -121,7 +122,7 @@ def calls(qgame, np):
 
 
 def _structure_calls(qgame, np, angles, unitary):
-    """Final amplitudes, product predicates, tensor products, commutants, unitarity, thresholds."""
+    """Final amplitudes, structural predicates, thresholds and mesh classes."""
     poles = [qgame.StrategyAngles(0.0, 0.0, 0.0), qgame.StrategyAngles(0.0, 0.0, math.pi)]
     poles.append(qgame.StrategyAngles(math.pi / 2, 0.0, 0.0))
     strategies = poles + angles[:3]
@@ -179,6 +180,15 @@ def _structure_calls(qgame, np, angles, unitary):
         bumped[0, 1] += eps
         yield f"is_unitary j1(pi/2) + {eps!r} at (0, 1)", lambda m=bumped: qgame.is_unitary(m)
         yield f"is_unitary j1(pi/2) + {eps!r} at (0, 1) tol=1e-10", lambda m=bumped: qgame.is_unitary(m, 1e-10)
+    commensurate = {
+        "swap": np.eye(4)[[0, 2, 1, 3]],
+        "j1(0.7)": qgame.build_entangler(qgame.EntanglerSpec("j1", 0.7)),
+        "j2(0.0)": qgame.build_entangler(qgame.EntanglerSpec("j2", 0.0)),
+        "j2(pi/2)": qgame.build_entangler(qgame.EntanglerSpec("j2", math.pi / 2)),
+        "identity": np.eye(4),
+    }
+    for label, j in commensurate.items():
+        yield f"is_classically_commensurate {label}", lambda j=j: qgame.is_classically_commensurate(j)
     lists = {
         "descending": [qgame.NeResult(1.0, True, ()), qgame.NeResult(0.5, True, ())],
         "ascending": [qgame.NeResult(0.5, True, ()), qgame.NeResult(1.0, True, ()), qgame.NeResult(1.2, False, ())],
@@ -186,6 +196,11 @@ def _structure_calls(qgame, np, angles, unitary):
     }
     for label, results in lists.items():
         yield f"threshold_beta {label}", lambda r=results: qgame.threshold_beta(r)
+    for dims in ((3, 5, 5), (5, 1, 9), (5, 2, 3), (4, 4, 6), (5, 9, 17)):
+        yield (
+            f"mesh_classes {dims}",
+            lambda d=dims: [a.tolist() for a in qgame.mesh.mesh_classes(qgame.MeshSpec(*d))],
+        )
 
 
 def main(argv=None) -> int:
