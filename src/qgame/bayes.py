@@ -18,11 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import TIE_TOL
 from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable
 from .linalg import _require_real
 from .mesh import MeshSpec, index_to_angles, mesh_angle_array
-from .search import TIE_TOL, _phase, analytic_best_response
+from .search import _phase, analytic_best_response
 from .strategies import StrategyAngles
 
 # Player 2 type I: the standard asymmetric-dilemma brother.
@@ -93,7 +94,6 @@ def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
 _G2I_STAR = StrategyAngles(0.0, 0.0, math.pi)
 _G2II_STAR = StrategyAngles(0.0, 0.0, 0.0)
 
-_IDENTITY = np.zeros((1, 3))
 _ROUNDING = 1e-12  # payoffs equal up to rounding count as tied
 
 
@@ -150,9 +150,9 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     Maximizes player 1's payoff against the candidate type replies over the
     mesh, with the type tables of spec (the built-in types by default;
     spec.mu must equal mu). Verdict "ne_at_origin" when the identity
-    attains the grid maximum within 1e-9 (the full profile is then an
+    attains the grid maximum within TIE_TOL (the full profile is then an
     equilibrium), "no_ne" when some grid strategy strictly exceeds it by
-    more than 1e-9 (player 1 would deviate, and no other candidate survives
+    more than TIE_TOL (player 1 would deviate, and no other candidate survives
     the types' unique best replies). Ties resolve to the lowest strategy
     index. Raises ValueError when a type's candidate reply is not its best
     reply to the identity on the mesh, since the verdict then means nothing.
@@ -166,7 +166,8 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
         # the reply's payoff first, then every mesh strategy's
         replies = np.vstack([reply.as_tuple(), angles])
         # _type_weights(game)[1] is bit for bit the W of player 2's row alone
-        p2 = _kernels.payoff_block(_IDENTITY, replies, _type_weights(game)[1])[0]
+        # angles[:1] is mesh index 1, the identity
+        p2 = _kernels.payoff_block(angles[:1], replies, _type_weights(game)[1])[0]
         if p2[0] < p2[1:].max() - TIE_TOL:
             raise ValueError(
                 f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "

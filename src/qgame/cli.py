@@ -70,8 +70,7 @@ MAX_BETA_STEPS = 10_000
 
 def _entangler_spec(args) -> EntanglerSpec:
     family = {"j1": "j1", "j2": "j2", "none": "identity"}[args.entangler]
-    spec = EntanglerSpec(family, args.beta)  # --beta is checked for every family
-    return spec if family != "identity" else EntanglerSpec(family)
+    return EntanglerSpec(family, args.beta)  # --beta is checked for every family
 
 
 def _fmt(x: float) -> str:

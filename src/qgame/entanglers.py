@@ -22,8 +22,8 @@ class EntanglerSpec:
     """Entangler family ("j1", "j2" or "identity") plus angle beta.
 
     beta runs over [0, pi/2] with beta=pi/2 maximally entangling.
-    family="identity" builds the identity whatever beta is, but beta is
-    still checked against [0, pi/2] (ValueError outside it).
+    family="identity" checks beta against [0, pi/2] (ValueError outside
+    it), then stores beta = 0, so every identity spec is equal.
     """
 
     family: str
@@ -35,6 +35,8 @@ class EntanglerSpec:
         object.__setattr__(self, "beta", _require_real(self.beta, "beta"))
         if not (0.0 <= self.beta <= math.pi / 2 + 1e-12):
             raise ValueError(f"beta out of range [0, pi/2]: {self.beta}")
+        if self.family == "identity":
+            object.__setattr__(self, "beta", 0.0)
 
 
 def build_entangler(spec: EntanglerSpec) -> np.ndarray:

@@ -100,7 +100,7 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"is_unitary requires a square matrix, got shape {m.shape}")
     tol = _require_tol(tol)
-    return _unitarity_error(m) <= tol and _unitarity_error(dagger(m)) <= tol
+    return bool(_unitarity_error(m) <= tol and _unitarity_error(dagger(m)) <= tol)
 
 
 def _unitarity_error(m: np.ndarray) -> float:

@@ -70,13 +70,8 @@ def qutrit_entangler(beta: float) -> np.ndarray:
 
 
 def entangled_initial_state(beta: float) -> np.ndarray:
-    """J(beta)|00> = a|00> + b|11> + b|22>; a non-finite beta raises ValueError."""
-    a, b = _entangler_coeffs(beta)
-    out = np.zeros(9, dtype=complex)
-    out[0] = a
-    out[4] = b
-    out[8] = b
-    return out
+    """J(beta)|00> = a|00> + b|11> + b|22>, the first column of J(beta); ValueError unless beta is finite."""
+    return qutrit_entangler(beta)[:, 0]
 
 
 def max_entangling_beta() -> float:
@@ -112,6 +107,8 @@ def commutant_is_scalar(generators, dim: int) -> tuple[bool, int]:
             raise ValueError(f"generator shape {g.shape} does not match dim {dim}")
         # row-major vec: vec([A, G]) = (I kron G^T - G kron I) vec(A)
         rows.append(tensor(eye, g.T) - tensor(g, eye))
+    if not rows:  # no generators: every dim x dim matrix commutes
+        return dim == 1, dim * dim
     sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
     dimension = dim * dim - int((sv >= 1e-10).sum())
     return dimension == 1, dimension

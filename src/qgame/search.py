@@ -141,8 +141,7 @@ def find_pure_ne(
     listed = tuple(
         (i, k, PayoffPair(x, y)) for (i, k), x, y in zip(pairs, pay1.tolist(), pay2.tolist())
     )
-    beta = 0.0 if spec.family == "identity" else spec.beta
-    return NeResult(beta=beta, found=bool(listed), pairs=listed)
+    return NeResult(beta=spec.beta, found=bool(listed), pairs=listed)
 
 
 def sweep_beta(game: GameTable, family: str, mesh: MeshSpec, betas) -> list[NeResult]:

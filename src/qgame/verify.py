@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
-from .games import DA_BROTHER, closed_form_sq_amplitudes, final_state, payoffs
+from .games import CLOSED_FORMS, DA_BROTHER, closed_form_sq_amplitudes, final_state, payoffs
 from .linalg import _unitarity_error, is_unitary
 from .mesh import MeshSpec, mesh_angle_array
 from .search import analytic_best_response, find_pure_ne
@@ -61,11 +61,10 @@ def check_norm_conservation(rng, samples=200):
 
 def check_closed_form_oracle(rng, samples=300):
     worst = 0.0
-    j1 = build_entangler(EntanglerSpec("j1", math.pi / 2))
-    j2 = build_entangler(EntanglerSpec("j2", math.pi / 2))
+    js = {form: build_entangler(EntanglerSpec(family, math.pi / 2)) for form, family in CLOSED_FORMS.items()}
     for _ in range(samples):
         g1, g2 = _random_angles(rng), _random_angles(rng)
-        for form, j in (("psi_plus", j1), ("triplet", j2)):
+        for form, j in js.items():
             ref = np.abs(final_state(j, g1, g2)) ** 2
             got = np.array(closed_form_sq_amplitudes(form, g1, g2))
             worst = max(worst, float(np.abs(ref - got).max()))

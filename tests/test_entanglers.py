@@ -39,6 +39,46 @@ class TestEntanglerSpec:
         with pytest.raises(ValueError, match="beta out of range"):
             EntanglerSpec("identity", 2.0)
 
+    def test_identity_stores_beta_zero(self):
+        spec = EntanglerSpec("identity", 0.7)
+        assert spec.beta == 0.0
+        assert spec == EntanglerSpec("identity")
+
+
+# The magic basis Q: U in SU(4) is a product of one-qubit gates exactly when Q^dag U Q is real.
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / math.sqrt(2)
+
+
+def makhlin_invariants(u):
+    """Makhlin's local invariants (G1, G2) of a two-qubit gate U.
+
+    With U_B = Q^dag U Q in the magic basis and m = U_B^T U_B,
+    G1 = tr^2(m) / (16 det U) and G2 = (tr^2(m) - tr(m^2)) / (4 det U).
+    Two gates are equal up to local unitaries exactly when their invariants
+    agree (Makhlin, Quantum Inf. Process. 2002): CNOT has (0, 1) and every
+    local gate (1, 3).
+    """
+    ub = _MAGIC.conj().T @ u @ _MAGIC
+    m = ub.T @ ub
+    det = np.linalg.det(u)
+    tr = np.trace(m)
+    return tr * tr / (16 * det), (tr * tr - np.trace(m @ m)) / (4 * det)
+
+
+class TestLocalInvariants:
+    @pytest.mark.parametrize("beta", np.linspace(0.0, math.pi / 2, 33).tolist())
+    def test_j2_is_locally_cnot(self, beta):
+        g1, g2 = makhlin_invariants(build_entangler(EntanglerSpec("j2", beta)))
+        assert abs(g1) < 1e-12 and abs(g2 - 1) < 1e-12
+
+    def test_j1_maximal_is_locally_cnot(self):
+        g1, g2 = makhlin_invariants(build_entangler(EntanglerSpec("j1", math.pi / 2)))
+        assert abs(g1) < 1e-12 and abs(g2 - 1) < 1e-12
+
+    def test_identity_is_local(self):
+        g1, g2 = makhlin_invariants(np.eye(4))
+        assert abs(g1 - 1) < 1e-12 and abs(g2 - 3) < 1e-12
+
 
 class TestBuildEntangler:
     def test_identity_family(self):

@@ -151,6 +151,10 @@ class TestCommutant:
         with pytest.raises(ValueError):
             commutant_is_scalar([np.eye(2)], 3)
 
+    @pytest.mark.parametrize("dim, expected", [(1, (True, 1)), (3, (False, 9))])
+    def test_no_generators_leave_every_matrix(self, dim, expected):
+        assert commutant_is_scalar([], dim) == expected
+
 
 class TestQutritStates:
     def test_tensor_layout(self):

@@ -2,7 +2,8 @@
 
 Run it on two trees and diff the outputs to check that a change leaves the
 results of the search, best-response, certificate, Bayesian and mixed-payoff
-functions, the protocol's final amplitudes, the structural predicates
+functions, the protocol's final amplitudes, the qutrit J|00>, the
+identity entangler's spec, the structural predicates
 (product states, tensor products, commutants, unitarity, classical
 commensurability) and the mesh's payoff classes as they were, to the last
 bit of every float:
@@ -161,6 +162,8 @@ def _structure_calls(qgame, np, angles, unitary):
     for label, state in two_qutrit.items():
         yield f"is_qutrit_product {label}", lambda s=state: qgame.is_qutrit_product(s)
         yield f"is_qutrit_product {label} tol=1e-3", lambda s=state: qgame.is_qutrit_product(s, 1e-3)
+    for b in (0.1, 2 * math.pi / 9, 1.0):
+        yield f"entangled_initial_state {b!r}", lambda b=b: qgame.qutrits.entangled_initial_state(b).tolist()
     yield "qutrit_tensor random", lambda: qgame.qutrit_tensor(*qutrits).tolist()
     yield "qutrit_tensor basis", lambda: qgame.qutrit_tensor([0, 1, 0], [0, 0, 1j]).tolist()
     generator_sets = {
@@ -174,6 +177,15 @@ def _structure_calls(qgame, np, angles, unitary):
             f"commutant_is_scalar {label}",
             lambda n=names: qgame.commutant_is_scalar([qgame.perm_matrix(x) for x in n], 3),
         )
+    for dim in (1, 3):
+        yield f"commutant_is_scalar no generators dim={dim}", lambda d=dim: qgame.commutant_is_scalar([], d)
+    identity = qgame.EntanglerSpec("identity", 0.7)
+    yield "EntanglerSpec identity 0.7", lambda: identity
+    # a fixed label: the spec's repr differs between trees that store beta differently
+    yield (
+        "find_pure_ne da_brother identity(0.7) (3, 5, 5)",
+        lambda: qgame.find_pure_ne(qgame.DA_BROTHER, identity, qgame.MeshSpec(3, 5, 5)),
+    )
     j1 = qgame.build_entangler(qgame.EntanglerSpec("j1", math.pi / 2))
     for eps in (0.0, 1e-13, 1e-11):
         bumped = j1.copy()
