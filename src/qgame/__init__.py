@@ -65,6 +65,7 @@ from .bayes import (
 from .qutrits import (
     build_Z,
     commutant_is_scalar,
+    entangled_initial_state,
     is_qutrit_product,
     max_entangling_beta,
     perm_matrix,

@@ -33,7 +33,6 @@ USE_NUMBA = False  # there is no compiled backend; kept for tools that report th
 # one player's payoffs (BLOCK_ROWS x N doubles) stays in cache.
 BLOCK_ROWS = 128
 
-# A reply within TIE_TOL of the best payoff counts as a best reply.
 TIE_TOL = 1e-9
 
 # U = sum_a q_a _BASIS[a]
@@ -82,16 +81,20 @@ def pair_payoffs(angles1, angles2, w) -> np.ndarray:
     return np.einsum("...ij,ij->...i", _features(angles1) @ w, _features(angles2))
 
 
-def pure_ne_pairs(angles, w, tol=TIE_TOL):
+def best_replies(p) -> np.ndarray:
+    """The best replies in each row of payoffs p: the entries within TIE_TOL of the row's maximum."""
+    return p >= p.max(axis=-1, keepdims=True) - TIE_TOL
+
+
+def pure_ne_pairs(angles, w):
     """Mutual-best-response pairs without materializing the full tables.
 
     Two passes over row blocks: the first accumulates the column maxima of
     player 1's table (the row maxima of P1^T), the second computes player
-    2's rows, keeps the replies within tol of each row's maximum and
-    evaluates player 1's payoff only at those pairs, keeping the ones within
-    tol of player 1's column maximum. Returns the pairs as two 0-based index
-    arrays (rows, cols), ordered lexicographically. w is the (2, 10, 10)
-    stack of both players' W.
+    2's rows, keeps their best replies and evaluates player 1's payoff only
+    at those pairs, keeping the ones within TIE_TOL of player 1's column
+    maximum. Returns the pairs as two 0-based index arrays (rows, cols),
+    ordered lexicographically. w is the (2, 10, 10) stack of both players' W.
     """
     f = _features(angles)
     n = f.shape[0]
@@ -105,8 +108,8 @@ def pure_ne_pairs(angles, w, tol=TIE_TOL):
     for i0 in range(0, n, BLOCK_ROWS):
         p2 = f[i0 : i0 + BLOCK_ROWS] @ g2
         # flat indices are row-major, so the pairs come out in lexicographic order
-        i, k = np.divmod(np.flatnonzero(p2 >= p2.max(axis=1)[:, None] - tol), n)
-        keep = np.einsum("ij,ij->i", h1[i0 + i], f[k]) >= colmax1[k] - tol
+        i, k = np.divmod(np.flatnonzero(best_replies(p2)), n)
+        keep = np.einsum("ij,ij->i", h1[i0 + i], f[k]) >= colmax1[k] - TIE_TOL
         rows.append(i0 + i[keep])
         cols.append(k[keep])
     return np.concatenate(rows), np.concatenate(cols)

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import TIE_TOL
 from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable
 from .linalg import _require_real
@@ -149,13 +148,13 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
 
     Maximizes player 1's payoff against the candidate type replies over the
     mesh, with the type tables of spec (the built-in types by default;
-    spec.mu must equal mu). Verdict "ne_at_origin" when the identity
-    attains the grid maximum within TIE_TOL (the full profile is then an
-    equilibrium), "no_ne" when some grid strategy strictly exceeds it by
-    more than TIE_TOL (player 1 would deviate, and no other candidate survives
-    the types' unique best replies). Ties resolve to the lowest strategy
-    index. Raises ValueError when a type's candidate reply is not its best
-    reply to the identity on the mesh, since the verdict then means nothing.
+    spec.mu must equal mu). Verdict "ne_at_origin" when the identity is a
+    best reply on the grid (_kernels.best_replies; the full profile is then
+    an equilibrium), "no_ne" when player 1 would deviate from it; whether
+    another profile is an equilibrium is not checked. Ties resolve to the
+    lowest strategy index. Raises ValueError when a type's candidate reply
+    is not its best reply to the identity on the mesh, since the verdict
+    then means nothing.
     """
     if spec is None:
         spec = BayesSpec(mu)
@@ -168,7 +167,7 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
         # _type_weights(game)[1] is bit for bit the W of player 2's row alone
         # angles[:1] is mesh index 1, the identity
         p2 = _kernels.payoff_block(angles[:1], replies, _type_weights(game)[1])[0]
-        if p2[0] < p2[1:].max() - TIE_TOL:
+        if not _kernels.best_replies(p2)[0]:
             raise ValueError(
                 f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "
                 "response to the identity on the mesh"
@@ -178,9 +177,8 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     best = float(p1.max())
     # the lowest index attaining the maximum, up to rounding
     k = int(np.argmax(p1 >= best - _ROUNDING))
-    margin = best - origin
-    verdict = "ne_at_origin" if margin <= TIE_TOL else "no_ne"
-    return BayesVerdict(verdict, origin, best, index_to_angles(grid, k + 1), margin)
+    verdict = "ne_at_origin" if _kernels.best_replies(p1)[0] else "no_ne"
+    return BayesVerdict(verdict, origin, best, index_to_angles(grid, k + 1), best - origin)
 
 
 def classical_threshold_mu() -> float:

@@ -41,10 +41,11 @@ def _parse_angles(text: str) -> StrategyAngles:
     return StrategyAngles(*(float(p) for p in parts))
 
 
-# Largest mesh a command accepts. A search holds about 1.2 kB per strategy
-# (angles, features, kernel factors and one BLOCK_ROWS x N block of payoffs)
-# and its time grows as N^2: a (9, 81, 81) mesh, 45929 strategies, took 55 MB
-# and 2.4 s on 2 cores, so this size means about 120 MB and 12 s per search.
+# Largest mesh a command accepts; it bounds the mesh, not the listed pairs. A
+# search holds about 1.2 kB per strategy and its time grows as N^2: a (9, 81, 81)
+# mesh, 45929 strategies, took 55 MB and 2.4 s on 2 cores, so this size means
+# about 120 MB and 12 s per search that lists few pairs. A flat table lists every
+# pair: 1404225 on (9, 13, 13), where search-ne took 9.6 s and 893 MB on 2 cores.
 MAX_MESH_STRATEGIES = 100_000
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import TIE_TOL
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
 from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
 from .linalg import _require_integer, _require_real
@@ -100,7 +99,7 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
             pay = _kernels.payoff_block(block, angles, _kernels.weights(j, u))
         else:
             pay = _kernels.payoff_block(angles, block, _kernels.weights(j, u)).T
-        opp, reply = np.nonzero(pay >= pay.max(axis=1)[:, None] - TIE_TOL)
+        opp, reply = np.nonzero(_kernels.best_replies(pay))
         for o, r in zip((i0 + opp).tolist(), reply.tolist()):
             class_sets[o].update(layout.members[r])
     return [set()] + [set(class_sets[c]) for c in layout.classes]
@@ -124,8 +123,7 @@ def find_pure_ne(
     if use_matrix:
         angles = mesh_angle_array(mesh)
         p1, p2 = _kernels.payoff_block(angles, angles, w)
-        mask = (p2 >= p2.max(axis=1)[:, None] - TIE_TOL) & (p1 >= p1.max(axis=0)[None, :] - TIE_TOL)
-        rows, cols = np.nonzero(mask)
+        rows, cols = np.nonzero(_kernels.best_replies(p2) & _kernels.best_replies(p1.T).T)
         pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
         pay1, pay2 = p1[rows, cols], p2[rows, cols]
     else:
@@ -229,15 +227,15 @@ def no_psne_certificate(
 ) -> bool:
     """Numerical certificate that the maximally entangled game has no pure NE.
 
-    Samples strategy pairs (always including the classical corner pairs)
-    and checks that at every pair at least one player's analytic best
-    response strictly improves that player's payoff. Payoffs come from the
-    payoff kernel under J1(pi/2) for "psi_plus" and J2(pi/2) for
-    "triplet". For a prisoner-dilemma-type table the improvement always
-    exists because the two response conditions (full squared amplitude on
-    |01> versus on |10>) cannot hold simultaneously; for a table whose
-    mutually best outcome sits at |01> the certificate fails at that
-    settlement point.
+    Samples strategy pairs (always including the classical corner pairs) and
+    checks that at every pair at least one player's analytic best response
+    improves that player's payoff: the current payoff is not a best reply
+    beside the response's. Payoffs come from the payoff kernel under
+    J1(pi/2) for "psi_plus" and J2(pi/2) for "triplet". For a
+    prisoner-dilemma-type table the improvement always exists because the
+    two response conditions (full squared amplitude on |01> versus on |10>)
+    cannot hold simultaneously; for a table whose mutually best outcome sits
+    at |01> the certificate fails at that settlement point.
     """
     samples = _require_integer(samples, "samples")
     if samples < 1:
@@ -260,10 +258,10 @@ def no_psne_certificate(
     j = build_entangler(EntanglerSpec(CLOSED_FORMS[form], math.pi / 2))
     # one stack for both players: w[p] is bit for bit weights(j, u[p])
     w = _kernels.weights(j, game.outcome_payoffs())
-    now1, now2 = _kernels.pair_payoffs(g1, g2, w)
-    improves1 = _kernels.pair_payoffs(reply1, g2, w[0]) > now1 + 1e-12
-    improves2 = _kernels.pair_payoffs(g1, reply2, w[1]) > now2 + 1e-12
-    return bool(np.all(improves1 | improves2))
+    now = _kernels.pair_payoffs(g1, g2, w)
+    replied = [_kernels.pair_payoffs(reply1, g2, w[0]), _kernels.pair_payoffs(g1, reply2, w[1])]
+    stays = _kernels.best_replies(np.stack([replied, now], axis=-1))[..., 1]
+    return not bool(np.any(stays.all(axis=0)))
 
 
 def mixed_cycle(g1: StrategyAngles):

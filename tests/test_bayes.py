@@ -18,9 +18,10 @@ from qgame.bayes import (
     classical_threshold_mu,
     p1_given_best_responses,
 )
+from qgame.entanglers import EntanglerSpec
 from qgame.games import GameTable, closed_form_sq_amplitudes
 from qgame.mesh import MeshSpec
-from qgame.search import analytic_best_response
+from qgame.search import analytic_best_response, best_response_table
 from qgame.strategies import StrategyAngles, classical_gate, su2_from_angles
 
 GRID = MeshSpec(9, 17, 17)
@@ -85,6 +86,17 @@ class TestBestResponses:
         assert keep.as_tuple() == (0.0, 3 * math.pi / 2, 0.0)
         assert np.abs(su2_from_angles(flip) - classical_gate("Y")).max() <= 1e-15
         assert np.array_equal(su2_from_angles(keep), classical_gate("I"))
+
+    def test_mesh_replies_to_identity_are_unique(self):
+        # on the mesh, type I's only best reply to the identity is the flip
+        # (the last index) and type II's the identity (index 1); to most other
+        # strategies each type has several best replies
+        j = EntanglerSpec("j1", math.pi / 2)
+        mesh = MeshSpec(5, 9, 9)
+        flip = best_response_table(GAME_TYPE_I, j, mesh, 2)
+        keep = best_response_table(GAME_TYPE_II, j, mesh, 2)
+        assert flip[1] == {mesh.n_strategies} and keep[1] == {1}
+        assert max(len(s) for s in flip[1:]) > 1 and max(len(s) for s in keep[1:]) > 1
 
 
 class TestPayoffSurface:

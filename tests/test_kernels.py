@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -135,10 +136,31 @@ def test_pure_ne_pairs_equal_dense_mask(j, u, mesh):
     assert _pairs(_kernels.pure_ne_pairs(angles, w)) == _dense_ne_pairs(angles, j, u)
 
 
-def test_one_tie_tolerance():
-    # the search, the Bayesian check and the kernel's default apply one TIE_TOL
-    assert search.TIE_TOL is _kernels.TIE_TOL is bayes.TIE_TOL
-    assert _kernels.pure_ne_pairs.__defaults__ == (_kernels.TIE_TOL,)
+def test_one_best_reply_rule(monkeypatch):
+    # a reply within TIE_TOL of the best counts, one just beyond it does not
+    assert _kernels.best_replies(np.array([-4.0, -4.000000001])).all()
+    assert not _kernels.best_replies(np.array([-4.0, -4.0000000021])).all()
+    assert list(inspect.signature(_kernels.pure_ne_pairs).parameters) == ["angles", "w"]
+    # every caller that decides a tie asks the one rule
+    calls = []
+    best_replies = _kernels.best_replies
+
+    def counted(p):
+        calls.append(1)
+        return best_replies(p)
+
+    monkeypatch.setattr(_kernels, "best_replies", counted)
+    spec = EntanglerSpec("j1", 0.8)
+    for run in (
+        lambda: search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5)),
+        lambda: search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5), use_matrix=True),
+        lambda: search.best_response_table(DA_BROTHER, spec, MeshSpec(3, 5, 5), 1),
+        lambda: bayes.bayes_ne_check(0.1, MeshSpec(3, 5, 5)),
+        lambda: search.no_psne_certificate("psi_plus", 20, PRISONER_DILEMMA),
+    ):
+        calls.clear()
+        run()
+        assert calls
 
 
 def test_pure_ne_pairs_spans_several_blocks():

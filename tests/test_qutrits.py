@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgame
 from qgame.linalg import PAULI, is_unitary
 from qgame.qutrits import (
     _PERMS,
@@ -101,6 +102,9 @@ class TestEntangler:
         col = qutrit_entangler(beta)[:, 0]
         assert np.abs(state - col).max() < 1e-14
         assert abs(np.vdot(state, state).real - 1.0) < 1e-12
+
+    def test_initial_state_is_exported(self):
+        assert qgame.entangled_initial_state is entangled_initial_state
 
 
 class TestMaxEntanglement:

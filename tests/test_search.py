@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgame import _kernels
+from qgame._kernels import TIE_TOL
 from qgame.bayes import bayes_best_response_2II
 from qgame.entanglers import EntanglerSpec, build_entangler
 from qgame.games import (
@@ -18,7 +19,6 @@ from qgame.games import (
 from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from qgame.search import (
     _SNAP,
-    TIE_TOL,
     NeResult,
     analytic_best_response,
     best_response_table,

@@ -72,6 +72,19 @@ def calls(qgame, np):
                     f"no_psne_certificate {form} {game.name} seed={seed}",
                     lambda f=form, g=game, s=seed: qgame.no_psne_certificate(f, 300, g, s),
                 )
+    rng = np.random.default_rng(17)
+
+    def integer_table():
+        return tuple(map(tuple, rng.integers(-10, 11, (2, 2)).tolist()))
+
+    integer_games = [qgame.GameTable(f"integer_{t}", integer_table(), integer_table()) for t in range(4)]
+    for form in ("psi_plus", "triplet"):
+        for game in integer_games:
+            for seed in (0, 1, 2):
+                yield (
+                    f"no_psne_certificate {form} {game} seed={seed}",
+                    lambda f=form, g=game, s=seed: qgame.no_psne_certificate(f, 300, g, s),
+                )
     rng = np.random.default_rng(11)
     high = (2 * math.pi, 2 * math.pi, math.pi)
     profiles = [
@@ -93,6 +106,13 @@ def calls(qgame, np):
     for mu in (0.0, 0.1, 1 / 6, 0.5):
         for mesh in (qgame.MeshSpec(5, 9, 11), qgame.MeshSpec(9, 17, 17)):
             yield f"bayes_ne_check mu={mu!r} {mesh}", lambda m=mu, g=mesh: qgame.bayes_ne_check(m, g)
+    # the verdict switches in this range of mu, where the margin crosses the tie tolerance
+    for k in range(-2, 21):
+        for mesh in (qgame.MeshSpec(5, 9, 11), qgame.MeshSpec(9, 17, 17)):
+            yield (
+                f"bayes_ne_check mu=1/6{k:+d}e-10 {mesh}",
+                lambda m=1 / 6 + k * 1e-10, g=mesh: qgame.bayes_ne_check(m, g),
+            )
     for k in (4, 5):
         yield (
             f"bayes_ne_check mu=0.3 spec={k}",
