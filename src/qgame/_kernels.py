@@ -12,11 +12,12 @@ the ten products f(q) = (q_a q_b, a <= b). W_u is a 10x10 matrix fixed by J
 and a row u of outcome payoffs, and weights(J, u) is the one place where the
 two meet: a caller builds W once per (J, table) and passes it to
 payoff_block, pair_payoffs and pure_ne_pairs, which only multiply features
-by it. The payoffs of N strategies against each other are the single matrix
-product F W_u F^T, for any 4x4 entangler J. A stack of rows u, such as
-GameTable.outcome_payoffs(), gives a stack of W, whose W[p] is bit for bit
-the W of row p alone, and one leading axis of payoffs per W: one call, both
-players.
+by it; best_response_table alone builds it once per row block, on purpose
+(ROADMAP open item). The payoffs of N strategies against each other are
+the single matrix product F W_u F^T, for any 4x4 entangler J. A stack of
+rows u, such as GameTable.outcome_payoffs(), gives a stack of W, whose W[p]
+is bit for bit the W of row p alone, and one leading axis of payoffs per W:
+one call, both players.
 
 A strategy reaches a payoff only through f(q), so payoff_classes groups
 strategies by their features, and the search runs on one per class.

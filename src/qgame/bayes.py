@@ -21,7 +21,7 @@ from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import GameTable
 from .linalg import _require_real
-from .mesh import MeshSpec, index_to_angles, mesh_angle_array
+from .mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from .search import _phase, analytic_best_response
 from .strategies import StrategyAngles
 
@@ -93,9 +93,6 @@ def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
 _G2I_STAR = StrategyAngles(0.0, 0.0, math.pi)
 _G2II_STAR = StrategyAngles(0.0, 0.0, 0.0)
 
-_ROUNDING = 1e-12  # payoffs equal up to rounding count as tied
-
-
 @functools.lru_cache(maxsize=8)
 def _type_weights(game: GameTable) -> np.ndarray:
     """The (2, 10, 10) stack of both players' W of a type table under J1(pi/2).
@@ -139,7 +136,7 @@ class BayesVerdict(NamedTuple):
     verdict: str  # "ne_at_origin" or "no_ne"
     origin_p1: float
     max_p1: float
-    argmax: StrategyAngles
+    argmax: StrategyAngles  # the lowest-index best reply: the identity under "ne_at_origin"
     margin: float  # max_p1 - origin_p1
 
 
@@ -151,10 +148,11 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
     spec.mu must equal mu). Verdict "ne_at_origin" when the identity is a
     best reply on the grid (_kernels.best_replies; the full profile is then
     an equilibrium), "no_ne" when player 1 would deviate from it; whether
-    another profile is an equilibrium is not checked. Ties resolve to the
-    lowest strategy index. Raises ValueError when a type's candidate reply
-    is not its best reply to the identity on the mesh, since the verdict
-    then means nothing.
+    another profile is an equilibrium is not checked. argmax is the
+    lowest-index best reply, within TIE_TOL of max_p1, so the identity
+    whenever the verdict is "ne_at_origin". Raises ValueError when a type's
+    candidate reply is not its best reply to the identity on the mesh,
+    since the verdict then means nothing.
     """
     if spec is None:
         spec = BayesSpec(mu)
@@ -162,22 +160,20 @@ def bayes_ne_check(mu: float, grid: MeshSpec, spec: BayesSpec | None = None) -> 
         raise ValueError(f"mu {mu} differs from the spec's mu {spec.mu}")
     angles = mesh_angle_array(grid)
     for game, reply in ((spec.game_2I, _G2I_STAR), (spec.game_2II, _G2II_STAR)):
-        # the reply's payoff first, then every mesh strategy's
-        replies = np.vstack([reply.as_tuple(), angles])
         # _type_weights(game)[1] is bit for bit the W of player 2's row alone
-        # angles[:1] is mesh index 1, the identity
-        p2 = _kernels.payoff_block(angles[:1], replies, _type_weights(game)[1])[0]
-        if not _kernels.best_replies(p2)[0]:
+        # angles[:1] is mesh index 1, the identity; each reply is a mesh pole
+        p2 = _kernels.payoff_block(angles[:1], angles, _type_weights(game)[1])[0]
+        if not _kernels.best_replies(p2)[angles_to_index(grid, reply) - 1]:
             raise ValueError(
                 f"type {game.name!r}: candidate reply {reply.as_tuple()} is not a best "
                 "response to the identity on the mesh"
             )
     p1 = _type_payoffs(spec, angles, _G2I_STAR, _G2II_STAR)[0]
+    replies = _kernels.best_replies(p1)
     origin = float(p1[0])  # index 1 is the theta=0 pole, the identity
     best = float(p1.max())
-    # the lowest index attaining the maximum, up to rounding
-    k = int(np.argmax(p1 >= best - _ROUNDING))
-    verdict = "ne_at_origin" if _kernels.best_replies(p1)[0] else "no_ne"
+    verdict = "ne_at_origin" if replies[0] else "no_ne"
+    k = int(np.argmax(replies))  # the lowest best reply
     return BayesVerdict(verdict, origin, best, index_to_angles(grid, k + 1), best - origin)
 
 

@@ -45,13 +45,12 @@ def build_entangler(spec: EntanglerSpec) -> np.ndarray:
     J1(beta) = cos(beta/2) I + i sin(beta/2) (Y x Y) = exp(i (beta/2) Y x Y);
     J1(0) is the identity and J1(pi/2)|00> = (|00> + i|11>)/sqrt(2).
     J2(beta) is the orthogonal matrix with J2(pi/2)|00> = (|01> + |10>)/sqrt(2),
-    the triplet state.
+    the triplet state. An identity spec stores beta = 0 and is built as
+    J1(0), which is np.eye(4, dtype=complex) bit for bit.
     """
     c = math.cos(spec.beta / 2.0)
     s = math.sin(spec.beta / 2.0)
-    if spec.family == "identity":
-        return np.eye(4, dtype=complex)
-    if spec.family == "j1":
+    if spec.family in ("j1", "identity"):
         return c * np.eye(4, dtype=complex) + 1j * s * Y_TENSOR_Y
     return np.array(
         [

@@ -89,16 +89,16 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     j = entangler_matrix(spec_or_j)
     angles = layout.rep_angles
     u = game.outcome_payoffs()[responder - 1]
+    # the opponent on the rows: player 1's payoff f(q1)^T W f(q2) is
+    # f(q2)^T W^T f(q1), so responder 1 reads W transposed
+    axes = (1, 0) if responder == 1 else (0, 1)
     class_sets = [set() for _ in layout.members]
     # W is built per block, not once per call: a faster call makes the
     # operator-tables benchmark run more rounds, and its peak_rss_mb grows
     # with the rounds it keeps (ROADMAP open item, direction 1)
     for i0 in range(0, angles.shape[0], _kernels.BLOCK_ROWS):
         block = angles[i0 : i0 + _kernels.BLOCK_ROWS]
-        if responder == 2:
-            pay = _kernels.payoff_block(block, angles, _kernels.weights(j, u))
-        else:
-            pay = _kernels.payoff_block(angles, block, _kernels.weights(j, u)).T
+        pay = _kernels.payoff_block(block, angles, _kernels.weights(j, u).transpose(axes))
         opp, reply = np.nonzero(_kernels.best_replies(pay))
         for o, r in zip((i0 + opp).tolist(), reply.tolist()):
             class_sets[o].update(layout.members[r])

@@ -18,6 +18,7 @@ from qgame.bayes import (
     classical_threshold_mu,
     p1_given_best_responses,
 )
+from qgame._kernels import TIE_TOL
 from qgame.entanglers import EntanglerSpec
 from qgame.games import GameTable, closed_form_sq_amplitudes
 from qgame.mesh import MeshSpec
@@ -26,6 +27,8 @@ from qgame.strategies import StrategyAngles, classical_gate, su2_from_angles
 
 GRID = MeshSpec(9, 17, 17)
 ORIGIN = StrategyAngles(0, 0, 0)
+# the verdict switches near 1/6 + 1e-9, where the margin crosses TIE_TOL
+VERDICT_MUS = [0.0, 0.1, 0.5, 1.0] + [1 / 6 + k * 1e-10 for k in range(-2, 21)]
 
 angle_triples = st.tuples(
     st.floats(0, 2 * math.pi),
@@ -138,6 +141,26 @@ class TestNeCheck:
         assert v.verdict == "ne_at_origin"
         assert v.origin_p1 == -1.0
         assert v.margin <= 1e-9
+        assert v.argmax == ORIGIN
+
+    @pytest.mark.parametrize("grid", [MeshSpec(5, 9, 11), GRID])
+    def test_tied_maximum_reports_identity(self, grid):
+        # the flip (0, 0, pi) is the strict maximum by 6e-10, inside TIE_TOL:
+        # the identity is a best reply and the lowest one
+        v = bayes_ne_check(1 / 6 + 1e-10, grid)
+        assert v.verdict == "ne_at_origin"
+        assert v.argmax == ORIGIN
+
+    def test_equilibrium_verdict_reports_identity(self):
+        for mu in VERDICT_MUS:
+            v = bayes_ne_check(mu, MeshSpec(5, 9, 11))
+            assert v.verdict == "no_ne" or v.argmax == ORIGIN
+
+    def test_argmax_is_a_best_reply(self):
+        for mu in VERDICT_MUS:
+            v = bayes_ne_check(mu, MeshSpec(5, 9, 11))
+            # 1e-12 of slack: the two evaluations may round differently
+            assert abs(p1_given_best_responses(mu, v.argmax) - v.max_p1) <= TIE_TOL + 1e-12
 
     def test_large_mu_destroys_equilibrium(self):
         v = bayes_ne_check(0.5, GRID)

@@ -81,11 +81,14 @@ class TestLocalInvariants:
 
 
 class TestBuildEntangler:
-    def test_identity_family(self):
-        assert np.array_equal(build_entangler(EntanglerSpec("identity")), np.eye(4))
+    @pytest.mark.parametrize("beta", [0.0, 0.7, math.pi / 2])
+    def test_identity_family(self, beta):
+        # built as J1 at its stored beta = 0: no negative zero, no rounding
+        got = build_entangler(EntanglerSpec("identity", beta))
+        assert got.tobytes() == np.eye(4, dtype=complex).tobytes()
 
     def test_j1_zero_is_identity(self):
-        assert np.allclose(build_entangler(EntanglerSpec("j1", 0.0)), np.eye(4))
+        assert build_entangler(EntanglerSpec("j1", 0.0)).tobytes() == np.eye(4, dtype=complex).tobytes()
 
     def test_j1_is_matrix_exponential(self):
         beta = 0.77

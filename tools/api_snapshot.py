@@ -3,7 +3,8 @@
 Run it on two trees and diff the outputs to check that a change leaves the
 results of the search, best-response, certificate, Bayesian and mixed-payoff
 functions, the protocol's final amplitudes, the qutrit J|00>, the
-identity entangler's spec, the structural predicates
+identity entangler's spec, the bytes of J for the identity and J1(0)
+entanglers, the structural predicates
 (product states, tensor products, commutants, unitarity, classical
 commensurability) and the mesh's payoff classes as they were, to the last
 bit of every float:
@@ -58,6 +59,15 @@ def calls(qgame, np):
                         g, s, qgame.MeshSpec(5, 9, 17), r
                     ),
                 )
+    # (9, 13, 13) has 506 payoff classes, four kernel row blocks
+    for spec_or_j, name in ((specs[4], "j2(0.7)"), (unitary, "unitary(seed 7)")):
+        for responder in (1, 2):
+            yield (
+                f"best_response_table da_brother {name} responder={responder} (9, 13, 13)",
+                lambda s=spec_or_j, r=responder: qgame.best_response_table(
+                    qgame.DA_BROTHER, s, qgame.MeshSpec(9, 13, 13), r
+                ),
+            )
     betas = [k * math.pi / 18 for k in range(10)]
     for game in games[:2]:
         for family in ("j1", "j2"):
@@ -118,6 +128,20 @@ def calls(qgame, np):
             f"bayes_ne_check mu=0.3 spec={k}",
             lambda s=bayes_specs[k]: qgame.bayes_ne_check(0.3, qgame.MeshSpec(5, 9, 11), s),
         )
+    for mu in (0.1, 0.3, 0.5):
+        for mesh in (qgame.MeshSpec(5, 9, 11), qgame.MeshSpec(9, 17, 17)):
+            yield (
+                f"bayes_ne_check generous mu={mu!r} {mesh}",
+                lambda m=mu, g=mesh: qgame.bayes_ne_check(m, g, qgame.BayesSpec(m, *generous)),
+            )
+    # type II with type I's u2 flips in reply to the identity: refused
+    flipper = qgame.GameTable("flipper", qgame.bayes.GAME_TYPE_II.u1, qgame.bayes.GAME_TYPE_I.u2)
+    yield (
+        "bayes_ne_check mu=0.3 type II with type I's u2",
+        lambda: qgame.bayes_ne_check(
+            0.3, qgame.MeshSpec(5, 9, 11), qgame.BayesSpec(0.3, qgame.bayes.GAME_TYPE_I, flipper)
+        ),
+    )
     angles = [prof.g1 for prof in profiles]
     m1 = qgame.MixedStrategy.uniform(angles[:3])
     m2 = qgame.MixedStrategy(((angles[3], 0.25), (angles[4], 0.75)))
@@ -199,6 +223,12 @@ def _structure_calls(qgame, np, angles, unitary):
         )
     for dim in (1, 3):
         yield f"commutant_is_scalar no generators dim={dim}", lambda d=dim: qgame.commutant_is_scalar([], d)
+    # the bytes of J, negative zeros included
+    for family, b in (("identity", 0.0), ("identity", 0.7), ("identity", math.pi / 2), ("j1", 0.0)):
+        yield (
+            f"build_entangler {family}({b!r}) bytes",
+            lambda f=family, b=b: qgame.build_entangler(qgame.EntanglerSpec(f, b)).tobytes().hex(),
+        )
     identity = qgame.EntanglerSpec("identity", 0.7)
     yield "EntanglerSpec identity 0.7", lambda: identity
     # a fixed label: the spec's repr differs between trees that store beta differently
