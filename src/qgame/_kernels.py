@@ -82,9 +82,13 @@ def pair_payoffs(angles1, angles2, w) -> np.ndarray:
     return np.einsum("...ij,ij->...i", _features(angles1) @ w, _features(angles2))
 
 
-def best_replies(p) -> np.ndarray:
-    """The best replies in each row of payoffs p: the entries within TIE_TOL of the row's maximum."""
-    return p >= p.max(axis=-1, keepdims=True) - TIE_TOL
+def best_replies(p, best=None) -> np.ndarray:
+    """The entries of payoffs p within TIE_TOL of best, each row's maximum unless given.
+
+    best broadcasts against p: a caller that knows the best payoff of each
+    entry passes it. This is the one place TIE_TOL is compared.
+    """
+    return p >= (p.max(axis=-1, keepdims=True) if best is None else best) - TIE_TOL
 
 
 def pure_ne_pairs(angles, w):
@@ -93,9 +97,9 @@ def pure_ne_pairs(angles, w):
     Two passes over row blocks: the first accumulates the column maxima of
     player 1's table (the row maxima of P1^T), the second computes player
     2's rows, keeps their best replies and evaluates player 1's payoff only
-    at those pairs, keeping the ones within TIE_TOL of player 1's column
-    maximum. Returns the pairs as two 0-based index arrays (rows, cols),
-    ordered lexicographically. w is the (2, 10, 10) stack of both players' W.
+    at those pairs, keeping the best replies to player 1's column maxima.
+    Returns the pairs as two 0-based index arrays (rows, cols), ordered
+    lexicographically. w is the (2, 10, 10) stack of both players' W.
     """
     f = _features(angles)
     n = f.shape[0]
@@ -110,7 +114,7 @@ def pure_ne_pairs(angles, w):
         p2 = f[i0 : i0 + BLOCK_ROWS] @ g2
         # flat indices are row-major, so the pairs come out in lexicographic order
         i, k = np.divmod(np.flatnonzero(best_replies(p2)), n)
-        keep = np.einsum("ij,ij->i", h1[i0 + i], f[k]) >= colmax1[k] - TIE_TOL
+        keep = best_replies(np.einsum("ij,ij->i", h1[i0 + i], f[k]), colmax1[k])
         rows.append(i0 + i[keep])
         cols.append(k[keep])
     return np.concatenate(rows), np.concatenate(cols)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
-from .games import GameTable
+from .games import CLOSED_FORMS, GameTable
 from .linalg import _require_real
 from .mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from .search import _phase, analytic_best_response
@@ -99,7 +99,8 @@ def _type_weights(game: GameTable) -> np.ndarray:
 
     Built once per table: every BayesSpec of the built-in types shares it.
     """
-    w = _kernels.weights(build_entangler(EntanglerSpec("j1", math.pi / 2)), game.outcome_payoffs())
+    j = build_entangler(EntanglerSpec(CLOSED_FORMS["psi_plus"], math.pi / 2))
+    w = _kernels.weights(j, game.outcome_payoffs())
     w.setflags(write=False)
     return w
 

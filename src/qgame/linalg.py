@@ -50,6 +50,14 @@ def _require_integer(value, what: str) -> int:
     return int(value)
 
 
+def _require_seed(seed) -> int:
+    """seed as an int; ValueError unless _require_integer accepts it and it is non-negative."""
+    seed = _require_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return seed
+
+
 def _require_tol(tol) -> float:
     """tol as a float; ValueError unless _require_real accepts it and it is positive."""
     tol = _require_real(tol, "tol")

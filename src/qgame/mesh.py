@@ -124,6 +124,7 @@ def mesh_classes(mesh: MeshSpec):
     reps holds the lowest index of each class, ascending; inverse[i] is the
     class of index i, so reps[inverse] maps every index to its
     representative. The classes are _kernels.payoff_classes of the mesh's
-    angle array.
+    angle array; the search's class layout (search._class_layout) reads them
+    here, so find_pure_ne and best_response_table run on these classes.
     """
     return payoff_classes(mesh_angle_array(mesh))

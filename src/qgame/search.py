@@ -12,8 +12,8 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
 from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
-from .linalg import _require_integer, _require_real
-from .mesh import MeshSpec, mesh_angle_array
+from .linalg import _require_integer, _require_real, _require_seed
+from .mesh import MeshSpec, mesh_angle_array, mesh_classes
 from .strategies import TWO_PI, StrategyAngles
 
 
@@ -59,7 +59,7 @@ def _class_layout(mesh: MeshSpec) -> _ClassLayout:
     those searches hold one int per index.
     """
     angles = mesh_angle_array(mesh)
-    reps, inverse = _kernels.payoff_classes(angles)
+    reps, inverse = mesh_classes(mesh)
     classes = inverse.tolist()
     members = [[] for _ in range(reps.size)]
     for label, c in enumerate(classes, 1):
@@ -242,7 +242,7 @@ def no_psne_certificate(
         raise ValueError("samples must be at least 1")
     if form not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {form!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed))
     # rows (g1, g2): the corner pairs, then samples drawn in the order
     # phi1, alpha1, theta1, phi2, alpha2, theta2
     corners = [(0.0, 0.0, t1, 0.0, 0.0, t2) for t1 in (0.0, math.pi) for t2 in (0.0, math.pi)]
@@ -260,8 +260,7 @@ def no_psne_certificate(
     w = _kernels.weights(j, game.outcome_payoffs())
     now = _kernels.pair_payoffs(g1, g2, w)
     replied = [_kernels.pair_payoffs(reply1, g2, w[0]), _kernels.pair_payoffs(g1, reply2, w[1])]
-    stays = _kernels.best_replies(np.stack([replied, now], axis=-1))[..., 1]
-    return not bool(np.any(stays.all(axis=0)))
+    return not np.any(_kernels.best_replies(now, np.stack(replied)).all(axis=0))
 
 
 def mixed_cycle(g1: StrategyAngles):

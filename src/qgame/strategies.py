@@ -89,7 +89,7 @@ def bloch_coords(a: complex, b: complex) -> tuple[float, float, float]:
     Returns (sin(theta)cos(phi), sin(theta)sin(phi), cos(theta)).
     """
     norm2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:  # a NaN norm is not 1
         raise ValueError(f"qubit amplitudes are not normalized: |a|^2+|b|^2 = {norm2}")
     theta = 2.0 * math.acos(min(1.0, abs(a)))
     phi = math.atan2(b.imag, b.real) - math.atan2(a.imag, a.real) if b != 0 else 0.0

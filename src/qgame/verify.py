@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler
 from .games import CLOSED_FORMS, DA_BROTHER, closed_form_sq_amplitudes, final_state, payoffs
-from .linalg import _unitarity_error, is_unitary
+from .linalg import _require_seed, _unitarity_error, is_unitary
 from .mesh import MeshSpec, mesh_angle_array
 from .search import analytic_best_response, find_pure_ne
 from .strategies import TWO_PI, StrategyAngles, su2_from_angles, su3_from_angles
@@ -126,6 +126,7 @@ ALL_CHECKS = (
 
 def run_all(seed: int = 0):
     """Run every check with a fresh seeded generator; returns result records."""
+    seed = _require_seed(seed)
     results = []
     for check in ALL_CHECKS:
         rng = np.random.default_rng(seed)

@@ -6,9 +6,11 @@ rank the same outcome highest (Benjamin & Hayden, PRL 2001). With no
 entanglement a strategy acts only through its flip probability
 sin^2(theta/2), so the mesh holds an equilibrium of a table without a
 classical pure one exactly when the table's mixed equilibrium is on the
-theta grid.
+theta grid. Between the two, every table holds an equilibrium on an initial
+segment of beta, possibly empty or the whole range.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -16,7 +18,7 @@ import math
 from qgame.entanglers import EntanglerSpec
 from qgame.games import GameTable
 from qgame.mesh import MeshSpec
-from qgame.search import find_pure_ne
+from qgame.search import NeResult, find_pure_ne, sweep_beta, threshold_beta
 
 MESH = MeshSpec(5, 9, 9)
 
@@ -92,3 +94,19 @@ def test_no_entanglement_finds_a_mixed_equilibrium_only_on_the_theta_grid():
     missed = [set(pq) for pq, (_, f) in zip(mixed, rest) if not f]
     assert len(missed) == 40 and all(pq & {0.25, 0.75} for pq in missed)
 
+
+
+def test_each_table_holds_an_equilibrium_on_an_initial_beta_segment():
+    # nine beta = k*pi/62 of the 32-point grid on [0, pi/2], both ends included;
+    # the ends reuse the searches above, whose pairs are not kept
+    betas = [k * math.pi / 62 for k in (0, 4, 8, 12, 16, 20, 24, 28, 31)]
+    assert (betas[0], betas[-1]) == (0.0, math.pi / 2)
+    patterns = collections.Counter()
+    for (game, first), (_, last) in zip(_found(0.0), _found(math.pi / 2)):
+        results = sweep_beta(game, "j1", MESH, betas[1:-1])
+        results = [NeResult(0.0, first, ())] + results + [NeResult(math.pi / 2, last, ())]
+        n = sum(r.found for r in results)
+        assert [r.found for r in results] == [True] * n + [False] * (len(betas) - n)
+        assert threshold_beta(results) == (betas[n - 1] if n else None)
+        patterns["never" if n == 0 else "always" if n == len(betas) else "initial"] += 1
+    assert patterns == {"always": 144, "initial": 392, "never": 40}

@@ -141,26 +141,44 @@ def test_one_best_reply_rule(monkeypatch):
     assert _kernels.best_replies(np.array([-4.0, -4.000000001])).all()
     assert not _kernels.best_replies(np.array([-4.0, -4.0000000021])).all()
     assert list(inspect.signature(_kernels.pure_ne_pairs).parameters) == ["angles", "w"]
-    # every caller that decides a tie asks the one rule
+    # every caller that decides a tie asks the one rule; the default search
+    # and the certificate also ask it with a best payoff of their own
     calls = []
     best_replies = _kernels.best_replies
 
-    def counted(p):
-        calls.append(1)
-        return best_replies(p)
+    def counted(p, best=None):
+        calls.append(best is not None)
+        return best_replies(p, best)
 
     monkeypatch.setattr(_kernels, "best_replies", counted)
     spec = EntanglerSpec("j1", 0.8)
-    for run in (
-        lambda: search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5)),
-        lambda: search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5), use_matrix=True),
-        lambda: search.best_response_table(DA_BROTHER, spec, MeshSpec(3, 5, 5), 1),
-        lambda: bayes.bayes_ne_check(0.1, MeshSpec(3, 5, 5)),
-        lambda: search.no_psne_certificate("psi_plus", 20, PRISONER_DILEMMA),
+    for run, given_best in (
+        (lambda: search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5)), True),
+        (lambda: search.find_pure_ne(DA_BROTHER, spec, MeshSpec(3, 5, 5), use_matrix=True), False),
+        (lambda: search.best_response_table(DA_BROTHER, spec, MeshSpec(3, 5, 5), 1), False),
+        (lambda: bayes.bayes_ne_check(0.1, MeshSpec(3, 5, 5)), False),
+        (lambda: search.no_psne_certificate("psi_plus", 20, PRISONER_DILEMMA), True),
     ):
         calls.clear()
         run()
-        assert calls
+        assert calls and any(calls) == given_best
+
+
+def test_best_replies_against_a_given_best():
+    p = np.array([[-4.0, -4.000000001], [-4.0000000021, -3.0]])
+    # a scalar best: both entries of the first row are within TIE_TOL of -4
+    assert _kernels.best_replies(p, -4.0).tolist() == [[True, True], [False, True]]
+    # a best per column, as pure_ne_pairs passes player 1's column maxima
+    colmax = np.array([-4.0, -3.0])
+    assert _kernels.best_replies(p, colmax).tolist() == [[True, False], [False, True]]
+    assert np.array_equal(_kernels.best_replies(p, colmax), _kernels.best_replies(p.T).T)
+    # a stack of best payoffs, as the certificate passes its replies' payoffs:
+    # a payoff stays a best reply when within TIE_TOL of the reply's
+    now = np.array([[-4.000000001, -4.0000000021], [1.0, 2.0]])
+    replied = np.array([[-4.0, -4.0], [0.5, 3.0]])
+    assert _kernels.best_replies(now, replied).tolist() == [[True, False], [True, False]]
+    stacked = np.stack([replied, now], axis=-1)
+    assert np.array_equal(_kernels.best_replies(now, replied), _kernels.best_replies(stacked)[..., 1])
 
 
 def test_pure_ne_pairs_spans_several_blocks():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from qgame import cli
+from qgame import cli, verify
 from qgame.bayes import BayesSpec, bayes_ne_check
 from qgame.entanglers import (
     EntanglerSpec,
@@ -25,7 +25,13 @@ from qgame.games import DA_BROTHER, GameFormatError, GameTable, MixedStrategy
 from qgame.linalg import _require_integer, _require_real, is_unitary
 from qgame.mesh import MeshSpec, angles_to_index, index_to_angles
 from qgame.qutrits import commutant_is_scalar, is_qutrit_product, perm_matrix, qutrit_entangler
-from qgame.search import analytic_best_response, best_response_table, find_pure_ne, sweep_beta
+from qgame.search import (
+    analytic_best_response,
+    best_response_table,
+    find_pure_ne,
+    no_psne_certificate,
+    sweep_beta,
+)
 from qgame.strategies import StrategyAngles, su3_from_angles
 
 ORIGIN = StrategyAngles(0.0, 0.0, 0.0)
@@ -185,6 +191,29 @@ class TestTolerancesAndSizes:
         assert commutant_is_scalar(gens, np.int64(3)) == commutant_is_scalar(gens, 3)
 
 
+SEED_CALLS = {
+    "no_psne_certificate": lambda seed: no_psne_certificate("psi_plus", 5, seed=seed),
+    "run_all": lambda seed: verify.run_all(seed=seed),
+}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("name", sorted(SEED_CALLS))
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None], ids=["float", "true", "str", "none"])
+    def test_refuses_non_integers(self, name, seed):
+        with pytest.raises(ValueError, match="seed takes integers only"):
+            SEED_CALLS[name](seed)
+
+    @pytest.mark.parametrize("name", sorted(SEED_CALLS))
+    def test_refuses_a_negative_seed(self, name):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SEED_CALLS[name](-1)
+
+    @pytest.mark.parametrize("name", sorted(SEED_CALLS))
+    def test_takes_numpy_integers(self, name):
+        assert SEED_CALLS[name](np.int64(3)) == SEED_CALLS[name](3)
+
+
 class TestNumpyNumbers:
     def test_index_to_angles_gives_plain_floats(self):
         mesh = MeshSpec(9, 17, 17)
@@ -257,6 +286,11 @@ class TestCommandLine:
         path.write_text(json.dumps({"mu": 0, "game_2I": TYPE_I, "game_2II": TYPE_II}))
         code, out, _ = run(capsys, "bayes", "--spec", str(path), "--mesh", "3,3,3")
         assert code == 0 and '"mu": 0.0' in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be non-negative\n"
 
     def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
         def broken(args):

@@ -113,6 +113,11 @@ class TestBlochCoords:
         with pytest.raises(ValueError):
             bloch_coords(1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(complex("nan"), 0), (1, complex("nan"))], ids=["a", "b"])
+    def test_rejects_nan_amplitude(self, a, b):
+        with pytest.raises(ValueError, match="not normalized"):
+            bloch_coords(a, b)
+
     @given(angle_triples)
     @settings(max_examples=100)
     def test_unit_sphere(self, triple):

@@ -6,20 +6,22 @@ functions, the protocol's final amplitudes, the qutrit J|00>, the
 identity entangler's spec, the bytes of J for the identity and J1(0)
 entanglers, the structural predicates
 (product states, tensor products, commutants, unitarity, classical
-commensurability) and the mesh's payoff classes as they were, to the last
-bit of every float:
+commensurability), the mesh's payoff classes and the refusal of bad seeds
+and NaN Bloch amplitudes as they were, to the last bit of every float:
 
     python tools/api_snapshot.py > after.txt
     python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
 Every call runs in this process, in the order listed, and takes a few
-seconds in all. A call that raises ValueError prints the error's repr.
+seconds in all. A call that raises ValueError or TypeError prints the
+error's repr, so a call that one tree refuses with either still prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -95,6 +97,13 @@ def calls(qgame, np):
                     f"no_psne_certificate {form} {game} seed={seed}",
                     lambda f=form, g=game, s=seed: qgame.no_psne_certificate(f, 300, g, s),
                 )
+    # seeds pass the number rule: integers, numpy integers too, and non-negative
+    for seed in (3, np.int64(3), 1.5, True, "3", -1):
+        yield (
+            f"no_psne_certificate psi_plus prisoner_dilemma seed={seed!r}",
+            lambda s=seed: qgame.no_psne_certificate("psi_plus", 40, seed=s),
+        )
+    yield "verify.run_all seed=1.5", lambda: importlib.import_module("qgame.verify").run_all(seed=1.5)
     rng = np.random.default_rng(11)
     high = (2 * math.pi, 2 * math.pi, math.pi)
     profiles = [
@@ -258,6 +267,9 @@ def _structure_calls(qgame, np, angles, unitary):
     }
     for label, results in lists.items():
         yield f"threshold_beta {label}", lambda r=results: qgame.threshold_beta(r)
+    nan = complex("nan")
+    for a, b in ((nan, 0.0), (1.0, nan)):
+        yield f"bloch_coords {a!r} {b!r}", lambda a=a, b=b: qgame.bloch_coords(a, b)
     for dims in ((3, 5, 5), (5, 1, 9), (5, 2, 3), (4, 4, 6), (5, 9, 17)):
         yield (
             f"mesh_classes {dims}",
@@ -279,7 +291,7 @@ def main(argv=None) -> int:
         print(f"# {label}")
         try:
             print(repr(thunk()))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             print(f"raised {exc!r}")
     return 0
 
