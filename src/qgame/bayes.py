@@ -18,26 +18,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .entanglers import EntanglerSpec, build_entangler
-from .games import CLOSED_FORMS, GameTable
+from .entanglers import build_entangler
+from .games import CLOSED_FORMS, DA_BROTHER, GameTable
 from .linalg import _require_real
 from .mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from .search import _phase, analytic_best_response
 from .strategies import StrategyAngles
 
-# Player 2 type I: the standard asymmetric-dilemma brother.
-GAME_TYPE_I = GameTable(
-    name="bayes_type_I",
-    u1=((0, -10), (-1, -5)),
-    u2=((-2, -1), (-10, -5)),
-)
+# Player 2 type I: the brother of DA_BROTHER, both tables as there.
+GAME_TYPE_I = GameTable("bayes_type_I", DA_BROTHER.u1, DA_BROTHER.u2)
 
-# Player 2 type II: values silence differently (dominant strategy flips).
-GAME_TYPE_II = GameTable(
-    name="bayes_type_II",
-    u1=((0, -10), (-1, -5)),
-    u2=((-2, -7), (-10, -11)),
-)
+# Player 2 type II: player 1's table of DA_BROTHER against a brother who
+# values silence differently (their dominant strategy flips).
+GAME_TYPE_II = GameTable("bayes_type_II", DA_BROTHER.u1, ((-2, -7), (-10, -11)))
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def _type_weights(game: GameTable) -> np.ndarray:
 
     Built once per table: every BayesSpec of the built-in types shares it.
     """
-    j = build_entangler(EntanglerSpec(CLOSED_FORMS["psi_plus"], math.pi / 2))
+    j = build_entangler(CLOSED_FORMS["psi_plus"])
     w = _kernels.weights(j, game.outcome_payoffs())
     w.setflags(write=False)
     return w

@@ -192,7 +192,7 @@ def cmd_bayes(args) -> int:
 def cmd_mixed_demo(args) -> int:
     g1 = _parse_angles(args.p1)
     g2, g1p, g2p = mixed_cycle(g1)
-    j = build_entangler(EntanglerSpec(CLOSED_FORMS["psi_plus"], math.pi / 2))
+    j = build_entangler(CLOSED_FORMS["psi_plus"])
     m1 = MixedStrategy.uniform([g1, g1p])
     m2 = MixedStrategy.uniform([g2, g2p])
     pay = mixed_payoff(m1, m2, j, PRISONER_DILEMMA)

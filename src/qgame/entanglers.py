@@ -15,6 +15,8 @@ Y_TENSOR_Y = tensor(classical_gate("Y"), classical_gate("Y"))
 _CLASSICAL_FLIPS = [tensor(classical_gate(a), classical_gate(b)) for a, b in ("YI", "IY")]
 
 _FAMILIES = ("j1", "j2", "identity")
+# partial_state's carrier families and the entangler whose J|00> each is
+_PARTIAL_FAMILIES = {"psi_plus": "j1", "T": "j2"}
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,14 @@ def build_entangler(spec: EntanglerSpec) -> np.ndarray:
     the triplet state. An identity spec stores beta = 0 and is built as
     J1(0), which is np.eye(4, dtype=complex) bit for bit.
     """
-    c = math.cos(spec.beta / 2.0)
-    s = math.sin(spec.beta / 2.0)
-    if spec.family in ("j1", "identity"):
+    return _entangler(spec.family, spec.beta)
+
+
+def _entangler(family: str, beta: float) -> np.ndarray:
+    """J1(beta) for "j1" and "identity", J2(beta) for "j2"; beta unchecked."""
+    c = math.cos(beta / 2.0)
+    s = math.sin(beta / 2.0)
+    if family in ("j1", "identity"):
         return c * np.eye(4, dtype=complex) + 1j * s * Y_TENSOR_Y
     return np.array(
         [
@@ -90,25 +97,20 @@ def bell_state(which: str) -> np.ndarray:
 
 
 def partial_state(family: str, gamma: float) -> np.ndarray:
-    """Partially entangled interpolation toward psi_plus or T.
+    """The carrier J(gamma)|00>: the first column of J1(gamma) or J2(gamma).
 
-    For family "psi_plus": cos(gamma/2)|00> + i sin(gamma/2)|11>, which is
-    |00> at gamma=0 and the psi_plus Bell state at gamma=pi/2. The phase i
-    on |11> makes the gamma=pi/2 endpoint equal psi_plus exactly; amplitude
-    magnitudes are (cos(gamma/2), 0, 0, sin(gamma/2)) either way.
-    For family "T": cos(gamma/2)|01> + sin(gamma/2)|10>, giving |01> at 0,
-    the triplet at pi/2 and |10> at pi.
+    Family "psi_plus" (J1): cos(gamma/2)|00> + i sin(gamma/2)|11>, |00> at
+    gamma=0. Family "T" (J2): cos(gamma/2)|01> + sin(gamma/2)|10>, |01> at 0
+    and |10> at pi. gamma runs over [0, pi], past EntanglerSpec's [0, pi/2].
+    At pi/2 the cos(pi/4) amplitude is one ulp above the 1/sqrt(2) of
+    bell_state("psi_plus") or bell_state("T").
     """
     gamma = _require_real(gamma, "gamma")
     if not (0.0 <= gamma <= math.pi):
         raise ValueError(f"gamma out of range [0, pi]: {gamma}")
-    c = math.cos(gamma / 2.0)
-    s = math.sin(gamma / 2.0)
-    if family == "psi_plus":
-        return np.array([c, 0, 0, 1j * s], dtype=complex)
-    if family == "T":
-        return np.array([0, c, s, 0], dtype=complex)
-    raise ValueError(f"unknown partial state family {family!r}")
+    if family not in _PARTIAL_FAMILIES:
+        raise ValueError(f"unknown partial state family {family!r}")
+    return _entangler(_PARTIAL_FAMILIES[family], gamma)[:, 0].copy()
 
 
 def is_classically_commensurate(j: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -25,9 +25,12 @@ from .entanglers import EntanglerSpec, entangler_matrix
 from .linalg import _require_real, dagger, tensor
 from .strategies import StrategyAngles, su2_from_angles
 
-# Each closed form and the entangler family whose maximal entanglement
-# (beta = pi/2) it describes; see closed_form_sq_amplitudes.
-CLOSED_FORMS = {"psi_plus": "j1", "triplet": "j2"}
+# Each closed form and the maximally entangling spec whose protocol it
+# describes; see closed_form_sq_amplitudes.
+CLOSED_FORMS = {
+    "psi_plus": EntanglerSpec("j1", math.pi / 2),
+    "triplet": EntanglerSpec("j2", math.pi / 2),
+}
 
 
 class GameFormatError(ValueError):

@@ -255,7 +255,7 @@ def no_psne_certificate(
 
     reply1 = np.array([reply(1, g) for g in g2.tolist()])
     reply2 = np.array([reply(2, g) for g in g1.tolist()])
-    j = build_entangler(EntanglerSpec(CLOSED_FORMS[form], math.pi / 2))
+    j = build_entangler(CLOSED_FORMS[form])
     # one stack for both players: w[p] is bit for bit weights(j, u[p])
     w = _kernels.weights(j, game.outcome_payoffs())
     now = _kernels.pair_payoffs(g1, g2, w)

@@ -25,21 +25,21 @@ def _random_angles(rng) -> StrategyAngles:
     )
 
 
-def check_strategy_unitarity(rng, samples=200):
+def check_strategy_unitarity(rng):
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(200):
         u = su2_from_angles(_random_angles(rng))
         worst = max(worst, _unitarity_error(u))
         worst = max(worst, abs(np.linalg.det(u) - 1.0))
-    for _ in range(samples // 4):
+    for _ in range(50):
         v = su3_from_angles(rng.uniform(0, TWO_PI, size=8))
         worst = max(worst, _unitarity_error(v))
     return "strategy_unitarity", worst <= 1e-10, worst
 
 
-def check_entangler_unitarity(rng, samples=100):
+def check_entangler_unitarity(rng):
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         beta = rng.uniform(0, math.pi / 2)
         for family in ("j1", "j2"):
             j = build_entangler(EntanglerSpec(family, beta))
@@ -49,9 +49,9 @@ def check_entangler_unitarity(rng, samples=100):
     return "entangler_unitarity", worst <= 1e-12, worst
 
 
-def check_norm_conservation(rng, samples=200):
+def check_norm_conservation(rng):
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(200):
         family = "j1" if rng.integers(2) == 0 else "j2"
         j = build_entangler(EntanglerSpec(family, rng.uniform(0, math.pi / 2)))
         amps = final_state(j, _random_angles(rng), _random_angles(rng))
@@ -59,10 +59,10 @@ def check_norm_conservation(rng, samples=200):
     return "norm_conservation", worst <= 1e-12, worst
 
 
-def check_closed_form_oracle(rng, samples=300):
+def check_closed_form_oracle(rng):
     worst = 0.0
-    js = {form: build_entangler(EntanglerSpec(family, math.pi / 2)) for form, family in CLOSED_FORMS.items()}
-    for _ in range(samples):
+    js = {form: build_entangler(spec) for form, spec in CLOSED_FORMS.items()}
+    for _ in range(300):
         g1, g2 = _random_angles(rng), _random_angles(rng)
         for form, j in js.items():
             ref = np.abs(final_state(j, g1, g2)) ** 2
@@ -78,9 +78,9 @@ def _target_amplitude(responder: int, form: str, g_resp: StrategyAngles, g_opp: 
     return closed_form_sq_amplitudes(form, g_resp, g_opp)[2]
 
 
-def check_best_response_targets(rng, samples=250):
+def check_best_response_targets(rng):
     worst = 1.0
-    for _ in range(samples):
+    for _ in range(250):
         g = _random_angles(rng)
         for form in ("psi_plus", "triplet"):
             for responder in (1, 2):
@@ -89,7 +89,7 @@ def check_best_response_targets(rng, samples=250):
     return "best_response_targets", worst >= 1.0 - 1e-10, worst
 
 
-def check_search_determinism(rng, samples=100):
+def check_search_determinism(rng):
     mesh = MeshSpec(5, 9, 9)
     first = find_pure_ne(DA_BROTHER, EntanglerSpec("j1", 0.8), mesh)
     second = find_pure_ne(DA_BROTHER, EntanglerSpec("j1", 0.8), mesh)
@@ -106,7 +106,7 @@ def check_search_determinism(rng, samples=100):
         j = build_entangler(EntanglerSpec(family, 0.8))
         w = _kernels.weights(j, DA_BROTHER.outcome_payoffs())
         p1, p2 = _kernels.payoff_block(angles, angles, w)
-        for i, k in rng.integers(0, mesh.n_strategies, size=(samples, 2)):
+        for i, k in rng.integers(0, mesh.n_strategies, size=(100, 2)):
             ref = payoffs(
                 final_state(j, StrategyAngles(*angles[i]), StrategyAngles(*angles[k])), DA_BROTHER
             )

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qgame import cli
+from qgame import cli, verify
 from qgame.cli import main
 from qgame.mesh import MeshSpec
 
@@ -104,6 +105,22 @@ class TestSearchNe:
             capsys, "search-ne", "--game", "da_brother", "--mesh", "1,1,1"
         )
         assert code == 2 and "error" in err
+
+    def test_two_part_mesh_exits_2(self, capsys):
+        code, out, err = run(capsys, "search-ne", "--game", "da_brother", "--mesh", "9,17")
+        assert (code, out, err) == (2, "", "error: expected 'Ntheta,Nphi,Nalpha', got '9,17'\n")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("name", 3, "field 'name' must be a string"), ("u1", 5, "field 'u1' is not a 2x2 number grid")],
+    )
+    def test_custom_game_with_bad_field_exits_2(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "g.json"
+        table = {"name": "g", "u1": [[3, 0], [5, 1]], "u2": [[3, 5], [0, 1]]}
+        path.write_text(json.dumps({**table, field: value}))
+        code, out, err = run(capsys, "search-ne", "--game", str(path), "--mesh", "3,3,3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.endswith(f"{message}\n")
 
     def test_custom_game_with_extra_field_exits_2(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -374,6 +391,13 @@ class TestBayes:
         code, _, err = run(capsys, "bayes", "--spec", str(path))
         assert code == 2 and err.startswith("error:")
 
+    def test_spec_without_mu_needs_the_flag(self, capsys, tmp_path):
+        table = {"name": "I", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({"game_2I": table, "game_2II": table}))
+        code, out, err = run(capsys, "bayes", "--spec", str(path))
+        assert (code, out, err) == (2, "", "error: mu must come from --mu or the --spec file\n")
+
     def test_spec_mu_checked_when_mu_flag_given(self, capsys, tmp_path):
         table = {"name": "I", "u1": [[0, 0], [0, 0]], "u2": [[0, 0], [0, 0]]}
         path = tmp_path / "bayes.json"
@@ -454,6 +478,11 @@ class TestVerify:
         assert code == 0
         assert obj["all_passed"] is True
         assert all(c["passed"] for c in obj["checks"])
+
+    def test_non_unitary_entangler_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "build_entangler", lambda spec: 2 * np.eye(4))
+        name, passed, worst = verify.check_entangler_unitarity(np.random.default_rng(0))
+        assert (name, passed, worst) == ("entangler_unitarity", False, float("inf"))
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "--seed", "3")

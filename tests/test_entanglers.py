@@ -146,6 +146,8 @@ class TestPartialState:
         assert np.array_equal(partial_state("psi_plus", 0.0), [1, 0, 0, 0])
         end = partial_state("psi_plus", math.pi / 2)
         assert np.abs(end - bell_state("psi_plus")).max() < 1e-15
+        # cos(pi/4) is one ulp above the 1/sqrt(2) of the Bell state
+        assert end[0].real == math.nextafter(bell_state("psi_plus")[0].real, 1.0)
 
     def test_endpoints_T(self):
         assert np.array_equal(partial_state("T", 0.0), [0, 1, 0, 0])
@@ -168,6 +170,24 @@ class TestPartialState:
             partial_state("psi_plus", -0.1)
         with pytest.raises(ValueError):
             partial_state("psi_plus", math.pi + 0.1)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown partial state family 'bogus'"):
+            partial_state("bogus", 0.3)
+
+    @pytest.mark.parametrize("family, j", [("psi_plus", "j1"), ("T", "j2")])
+    def test_is_the_first_column_of_j(self, family, j):
+        for gamma in np.linspace(0.0, math.pi / 2, 1001).tolist():
+            column = build_entangler(EntanglerSpec(j, gamma))[:, 0]
+            assert partial_state(family, gamma).tobytes() == column.tobytes()
+
+    def test_past_the_entangler_range_is_the_cos_sin_carrier(self):
+        for gamma in np.linspace(math.pi / 2, math.pi, 1001)[1:].tolist():
+            c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+            psi_plus = np.array([c, 0, 0, 1j * s], dtype=complex)
+            t = np.array([0, c, s, 0], dtype=complex)
+            assert partial_state("psi_plus", gamma).tobytes() == psi_plus.tobytes()
+            assert partial_state("T", gamma).tobytes() == t.tobytes()
 
 
 class TestCommensurability:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qgame.entanglers import EntanglerSpec, build_entangler
 from qgame.games import (
     BUILTIN_GAMES,
+    CLOSED_FORMS,
     DA_BROTHER,
     PRISONER_DILEMMA,
     GameFormatError,
@@ -167,6 +168,12 @@ class TestClosedForms:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             closed_form_sq_amplitudes("bell", ORIGIN, ORIGIN)
+
+    def test_each_form_names_its_spec(self):
+        assert CLOSED_FORMS == {
+            "psi_plus": EntanglerSpec("j1", math.pi / 2),
+            "triplet": EntanglerSpec("j2", math.pi / 2),
+        }
 
     def test_partial_beta_range(self):
         with pytest.raises(ValueError):

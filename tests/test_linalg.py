@@ -126,6 +126,14 @@ class TestExpmStructured:
             expm_structured(SIGMA_1, 1.0, "diagonal")
         with pytest.raises(StructureError):
             expm_structured(GELL_MANN[0], 1.0, "involution")  # lambda_1^2 != I3
+        with pytest.raises(StructureError):
+            expm_structured(2 * SIGMA_1, 1.0, "cubic")  # (2 sigma_1)^3 = 8 sigma_1
+
+    @pytest.mark.parametrize("a, kind", [(np.zeros((2, 3)), "involution"), (SIGMA_1, "bogus")])
+    def test_shape_and_kind_errors_are_plain_value_errors(self, a, kind):
+        with pytest.raises(ValueError) as excinfo:
+            expm_structured(a, 1.0, kind)
+        assert excinfo.type is ValueError
 
     @given(st.floats(-math.pi, math.pi))
     @settings(max_examples=50)

@@ -2,20 +2,23 @@
 
 Run it on two trees and diff the outputs to check that a change leaves the
 results of the search, best-response, certificate, Bayesian and mixed-payoff
-functions, the protocol's final amplitudes, the qutrit J|00>, the
-identity entangler's spec, the bytes of J for the identity and J1(0)
-entanglers, the structural predicates
-(product states, tensor products, commutants, unitarity, classical
-commensurability), the mesh's payoff classes and the refusal of bad seeds
-and NaN Bloch amplitudes as they were, to the last bit of every float:
+functions, the protocol's final amplitudes, the qutrit J|00>, the Bell and
+partial states, the Bayesian type tables, the identity entangler's spec, the
+bytes of J for the identity, J1(0), J1(pi/2) and J2(pi/2) entanglers, the
+structural predicates (product states, tensor products, commutants,
+unitarity, classical commensurability), the mesh's payoff classes and the
+refusal of bad seeds and NaN Bloch amplitudes as they were, to the last bit
+of every float:
 
     python tools/api_snapshot.py > after.txt
     python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
-Every call runs in this process, in the order listed, and takes a few
-seconds in all. A call that raises ValueError or TypeError prints the
-error's repr, so a call that one tree refuses with either still prints.
+The first line names the host's numpy, BLAS and OpenBLAS core, since the
+last digits of some results depend on the BLAS kernel. Every call runs in
+this process, in the order listed, and takes a few seconds in all. A call
+that raises ValueError or TypeError prints the error's repr, so a call that
+one tree refuses with either still prints.
 """
 
 from __future__ import annotations
@@ -232,8 +235,25 @@ def _structure_calls(qgame, np, angles, unitary):
         )
     for dim in (1, 3):
         yield f"commutant_is_scalar no generators dim={dim}", lambda d=dim: qgame.commutant_is_scalar([], d)
+    for which in ("psi_plus", "psi_minus", "T", "S"):
+        yield f"bell_state {which}", lambda w=which: qgame.bell_state(w).tolist()
+    for family in ("psi_plus", "T"):
+        for gamma in (0.0, 0.3, math.pi / 2, 3 * math.pi / 4, math.pi):
+            yield (
+                f"partial_state {family} {gamma!r}",
+                lambda f=family, g=gamma: qgame.partial_state(f, g).tolist(),
+            )
+    for game in (qgame.bayes.GAME_TYPE_I, qgame.bayes.GAME_TYPE_II):
+        yield f"bayes type table {game.name}", lambda g=game: g
     # the bytes of J, negative zeros included
-    for family, b in (("identity", 0.0), ("identity", 0.7), ("identity", math.pi / 2), ("j1", 0.0)):
+    for family, b in (
+        ("identity", 0.0),
+        ("identity", 0.7),
+        ("identity", math.pi / 2),
+        ("j1", 0.0),
+        ("j1", math.pi / 2),
+        ("j2", math.pi / 2),
+    ):
         yield (
             f"build_entangler {family}({b!r}) bytes",
             lambda f=family, b=b: qgame.build_entangler(qgame.EntanglerSpec(f, b)).tobytes().hex(),
@@ -286,7 +306,9 @@ def main(argv=None) -> int:
     import numpy as np
 
     import qgame
+    from host_header import host_line
 
+    print(host_line(np))
     for label, thunk in calls(qgame, np):
         print(f"# {label}")
         try:

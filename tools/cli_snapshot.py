@@ -7,9 +7,10 @@ command line output as it was:
     python tools/cli_snapshot.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
-Every call runs in this process through qgame.cli.main. The --spec and
---game files are written to a temporary directory, shown as <tmp> in the
-printed argv.
+The first line names the host's numpy, BLAS and OpenBLAS core, since the
+last digits of printed floats depend on the BLAS kernel. Every call runs in
+this process through qgame.cli.main. The --spec and --game files are
+written to a temporary directory, shown as <tmp> in the printed argv.
 """
 
 from __future__ import annotations
@@ -73,8 +74,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=default_src, help="the src directory holding the qgame package")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+
+    from host_header import host_line
     from qgame import cli
 
+    print(host_line(np))
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in FILES.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
