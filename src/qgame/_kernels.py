@@ -63,11 +63,15 @@ def weights(j, u) -> np.ndarray:
     # payoff = sum_{a,c,b,d} q1_a q1_c q2_b q2_d t[a, c, b, d]; the imaginary
     # parts cancel in the sum, and only the parts symmetric in (a, c) and
     # in (b, d) reach it
-    t = np.einsum("...k,kab,kcd->...acbd", np.asarray(u, dtype=float), c, c.conj()).real
-    t = (t + t.swapaxes(-4, -3)) / 2.0
-    t = (t + t.swapaxes(-2, -1)) / 2.0
-    a, b = _PAIRS
-    w = t[..., a, b, :, :][..., a, b] * np.outer(_PAIR_COUNT, _PAIR_COUNT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.einsum("...k,kab,kcd->...acbd", np.asarray(u, dtype=float), c, c.conj()).real
+        t = (t + t.swapaxes(-4, -3)) / 2.0
+        t = (t + t.swapaxes(-2, -1)) / 2.0
+        a, b = _PAIRS
+        w = t[..., a, b, :, :][..., a, b] * np.outer(_PAIR_COUNT, _PAIR_COUNT)
+    # finite payoffs near the float limit overflow W's sums; every payoff from such a W is NaN
+    if not np.isfinite(w).all():
+        raise ValueError("payoffs too large: the payoff form W of the table overflows")
     # row-major, so that each W of a stack multiplies bit for bit as a single W
     return np.ascontiguousarray(w)
 

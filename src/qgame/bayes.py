@@ -23,7 +23,7 @@ from .games import CLOSED_FORMS, DA_BROTHER, GameTable
 from .linalg import _require_real
 from .mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array
 from .search import _phase, analytic_best_response
-from .strategies import StrategyAngles
+from .strategies import CLASSICAL_ANGLES, StrategyAngles
 
 # Player 2 type I: the brother of DA_BROTHER, both tables as there.
 GAME_TYPE_I = GameTable("bayes_type_I", DA_BROTHER.u1, DA_BROTHER.u2)
@@ -83,8 +83,8 @@ def bayes_best_response_2II(g1: StrategyAngles) -> StrategyAngles:
 # player 1 playing the identity, type I the flip and type II the identity.
 # The replies computed by bayes_best_response_2I/2II carry a phase that
 # does not act at their pole; these write it as 0.
-_G2I_STAR = StrategyAngles(0.0, 0.0, math.pi)
-_G2II_STAR = StrategyAngles(0.0, 0.0, 0.0)
+_G2I_STAR = StrategyAngles(*CLASSICAL_ANGLES["Y"])
+_G2II_STAR = StrategyAngles(*CLASSICAL_ANGLES["I"])
 
 @functools.lru_cache(maxsize=8)
 def _type_weights(game: GameTable) -> np.ndarray:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bayes import BayesSpec, bayes_ne_check
-from .entanglers import EntanglerSpec, build_entangler
+from .entanglers import BETA_MAX, EntanglerSpec, build_entangler
 from .games import (
     CLOSED_FORMS,
     PRISONER_DILEMMA,
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if entangler:
             p.add_argument("--entangler", choices=["j1", "j2", "none"], default="j1")
-            p.add_argument("--beta", type=float, default=math.pi / 2)
+            p.add_argument("--beta", type=float, default=BETA_MAX)
         if mesh:
             p.add_argument("--mesh", default="9,17,17", help="Ntheta,Nphi,Nalpha")
 
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-beta", help="equilibrium existence along a beta grid")
     add_common(p, entangler=False, mesh=True)
     p.add_argument("--beta-min", type=float, default=0.0)
-    p.add_argument("--beta-max", type=float, default=math.pi / 2)
+    p.add_argument("--beta-max", type=float, default=BETA_MAX)
     p.add_argument("--beta-steps", type=int, default=32)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_sweep_beta)

@@ -15,6 +15,7 @@ Y_TENSOR_Y = tensor(classical_gate("Y"), classical_gate("Y"))
 _CLASSICAL_FLIPS = [tensor(classical_gate(a), classical_gate(b)) for a, b in ("YI", "IY")]
 
 _FAMILIES = ("j1", "j2", "identity")
+BETA_MAX = math.pi / 2  # the top of beta's range [0, pi/2], maximally entangling
 # partial_state's carrier families and the entangler whose J|00> each is
 _PARTIAL_FAMILIES = {"psi_plus": "j1", "T": "j2"}
 
@@ -35,7 +36,7 @@ class EntanglerSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown entangler family {self.family!r}")
         object.__setattr__(self, "beta", _require_real(self.beta, "beta"))
-        if not (0.0 <= self.beta <= math.pi / 2 + 1e-12):
+        if not (0.0 <= self.beta <= BETA_MAX + 1e-12):
             raise ValueError(f"beta out of range [0, pi/2]: {self.beta}")
         if self.family == "identity":
             object.__setattr__(self, "beta", 0.0)

@@ -21,16 +21,23 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .entanglers import EntanglerSpec, entangler_matrix
+from .entanglers import BETA_MAX, EntanglerSpec, entangler_matrix
 from .linalg import _require_real, dagger, tensor
 from .strategies import StrategyAngles, su2_from_angles
 
 # Each closed form and the maximally entangling spec whose protocol it
 # describes; see closed_form_sq_amplitudes.
 CLOSED_FORMS = {
-    "psi_plus": EntanglerSpec("j1", math.pi / 2),
-    "triplet": EntanglerSpec("j2", math.pi / 2),
+    "psi_plus": EntanglerSpec("j1", BETA_MAX),
+    "triplet": EntanglerSpec("j2", BETA_MAX),
 }
+
+
+def closed_form_spec(form: str) -> EntanglerSpec:
+    """The EntanglerSpec of a closed form's protocol; ValueError for a form not in CLOSED_FORMS."""
+    if form not in CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {form!r}")
+    return CLOSED_FORMS[form]
 
 
 class GameFormatError(ValueError):
@@ -122,12 +129,11 @@ def closed_form_sq_amplitudes(
     with the kernel in _kernels, and only verify and the tests evaluate
     these, to check it.
     """
+    spec = closed_form_spec(form)
     if form == "psi_plus":
         # the imaginary parts carry a factor cos(beta), zero at pi/2
-        amps = closed_form_amplitudes_partial(math.pi / 2, g1, g2)
+        amps = closed_form_amplitudes_partial(spec.beta, g1, g2)
         return tuple(float(z.real) * float(z.real) for z in amps)
-    if form != "triplet":
-        raise ValueError(f"unknown closed form {form!r}")
     p1, a1, t1 = g1.as_tuple()
     p2, a2, t2 = g2.as_tuple()
     c1, s1 = math.cos(t1 / 2), math.sin(t1 / 2)

@@ -58,6 +58,14 @@ def _require_seed(seed) -> int:
     return seed
 
 
+def _require_responder(responder) -> int:
+    """responder as an int; ValueError unless _require_integer accepts it and it is 1 or 2."""
+    responder = _require_integer(responder, "responder")
+    if responder not in (1, 2):
+        raise ValueError("responder must be 1 or 2")
+    return responder
+
+
 def _require_tol(tol) -> float:
     """tol as a float; ValueError unless _require_real accepts it and it is positive."""
     tol = _require_real(tol, "tol")

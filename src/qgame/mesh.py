@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import payoff_classes
 from .linalg import _require_integer, _require_tol
-from .strategies import TWO_PI, StrategyAngles
+from .strategies import CLASSICAL_ANGLES, TWO_PI, StrategyAngles
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def index_to_angles(mesh: MeshSpec, index: int) -> StrategyAngles:
     if not (1 <= index <= n):
         raise ValueError(f"strategy index {index} out of range [1, {n}]")
     if index == 1:
-        return StrategyAngles(0.0, 0.0, 0.0)
+        return StrategyAngles(*CLASSICAL_ANGLES["I"])
     if index == n:
-        return StrategyAngles(0.0, 0.0, math.pi)
+        return StrategyAngles(*CLASSICAL_ANGLES["Y"])
     k = index - 2
     per_theta = mesh.n_phi * mesh.n_alpha
     k_theta, rem = divmod(k, per_theta)
@@ -108,14 +108,9 @@ def mesh_angle_array(mesh: MeshSpec) -> np.ndarray:
     thetas = [mesh.theta_value(k) for k in range(1, mesh.n_theta - 1)]
     phis = [mesh.phi_value(k) for k in range(mesh.n_phi)]
     alphas = [mesh.alpha_value(k) for k in range(mesh.n_alpha)]
-    n = mesh.n_strategies
-    out = np.zeros((n, 3))
     tt, pp, aa = np.meshgrid(thetas, phis, alphas, indexing="ij")
-    out[1:-1, 0] = pp.ravel()
-    out[1:-1, 1] = aa.ravel()
-    out[1:-1, 2] = tt.ravel()
-    out[-1, 2] = math.pi
-    return out
+    interior = np.column_stack([pp.ravel(), aa.ravel(), tt.ravel()])
+    return np.vstack([CLASSICAL_ANGLES["I"], interior, CLASSICAL_ANGLES["Y"]])
 
 
 def mesh_classes(mesh: MeshSpec):

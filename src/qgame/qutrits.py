@@ -58,6 +58,8 @@ def _entangler_coeffs(beta: float) -> tuple[complex, complex]:
     b = exp(-i beta) (exp(3 i beta) - 1) / 3.
     """
     beta = _require_real(beta, "beta")
+    if not math.isfinite(3.0 * beta):
+        raise ValueError(f"beta is too large: 3*beta is not finite: {beta!r}")
     e3 = cmath.exp(3j * beta)
     em = cmath.exp(-1j * beta)
     return em * (e3 + 2.0) / 3.0, em * (e3 - 1.0) / 3.0

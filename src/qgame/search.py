@@ -11,10 +11,10 @@ import numpy as np
 
 from . import _kernels
 from .entanglers import EntanglerSpec, build_entangler, entangler_matrix
-from .games import CLOSED_FORMS, PRISONER_DILEMMA, GameTable, PayoffPair
-from .linalg import _require_integer, _require_real, _require_seed
+from .games import PRISONER_DILEMMA, GameTable, PayoffPair, closed_form_spec
+from .linalg import _require_integer, _require_real, _require_responder, _require_seed
 from .mesh import MeshSpec, mesh_angle_array, mesh_classes
-from .strategies import TWO_PI, StrategyAngles
+from .strategies import ANGLE_TOPS, CLASSICAL_ANGLES, TWO_PI, StrategyAngles
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ def best_response_table(game: GameTable, spec_or_j, mesh: MeshSpec, responder: i
     on one representative per payoff class of the mesh (mesh_classes), for
     one block of opponent classes at a time.
     """
-    responder = _require_integer(responder, "responder")
-    if responder not in (1, 2):
-        raise ValueError("responder must be 1 or 2")
+    responder = _require_responder(responder)
     layout = _class_layout(mesh)
     if isinstance(spec_or_j, EntanglerSpec):
         spec_or_j = build_entangler(spec_or_j)
@@ -175,18 +173,15 @@ def analytic_best_response(responder: int, form: str, g_opp: StrategyAngles) -> 
     quarter of alpha, so that alternating replies close a four-step cycle
     up to 0 == 2*pi (see _psi_plus_reply).
     """
-    responder = _require_integer(responder, "responder")
-    if responder not in (1, 2):
-        raise ValueError("responder must be 1 or 2")
+    responder = _require_responder(responder)
+    closed_form_spec(form)  # refuses an unknown form
     phi, alpha, theta = g_opp.as_tuple()
     if form == "psi_plus":
         reply = _psi_plus_reply(responder, phi, alpha, theta)
-    elif form == "triplet" and responder == 2:
+    elif responder == 2:
         reply = (_phase(math.pi / 2 - alpha), _phase(math.pi / 2 - phi), math.pi - theta)
-    elif form == "triplet":
-        reply = (_phase(phi - math.pi / 2), _phase(alpha + math.pi / 2), theta)
     else:
-        raise ValueError(f"unknown closed form {form!r}")
+        reply = (_phase(phi - math.pi / 2), _phase(alpha + math.pi / 2), theta)
     return StrategyAngles(*reply)
 
 
@@ -240,14 +235,12 @@ def no_psne_certificate(
     samples = _require_integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if form not in CLOSED_FORMS:
-        raise ValueError(f"unknown closed form {form!r}")
+    j = build_entangler(closed_form_spec(form))
     rng = np.random.default_rng(_require_seed(seed))
     # rows (g1, g2): the corner pairs, then samples drawn in the order
     # phi1, alpha1, theta1, phi2, alpha2, theta2
-    corners = [(0.0, 0.0, t1, 0.0, 0.0, t2) for t1 in (0.0, math.pi) for t2 in (0.0, math.pi)]
-    high = (TWO_PI, TWO_PI, math.pi) * 2
-    pairs = np.vstack([corners, rng.uniform(0.0, high, size=(samples, 6))])
+    corners = [g1 + g2 for g1 in CLASSICAL_ANGLES.values() for g2 in CLASSICAL_ANGLES.values()]
+    pairs = np.vstack([corners, rng.uniform(0.0, ANGLE_TOPS * 2, size=(samples, 6))])
     g1, g2 = pairs[:, :3], pairs[:, 3:]
 
     def reply(responder, g):
@@ -255,7 +248,6 @@ def no_psne_certificate(
 
     reply1 = np.array([reply(1, g) for g in g2.tolist()])
     reply2 = np.array([reply(2, g) for g in g1.tolist()])
-    j = build_entangler(CLOSED_FORMS[form])
     # one stack for both players: w[p] is bit for bit weights(j, u[p])
     w = _kernels.weights(j, game.outcome_payoffs())
     now = _kernels.pair_payoffs(g1, g2, w)

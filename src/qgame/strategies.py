@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import GELL_MANN, _require_real, expm_structured
 
 TWO_PI = 2.0 * math.pi
+ANGLE_TOPS = (TWO_PI, TWO_PI, math.pi)  # the tops of the strategy box (phi, alpha, theta)
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,10 @@ class StrategyAngles:
         if not (type(self.phi) is type(self.alpha) is type(self.theta) is float):
             for name in ("phi", "alpha", "theta"):
                 object.__setattr__(self, name, _require_real(getattr(self, name), name))
-        if not (0.0 <= self.phi <= TWO_PI):
-            raise ValueError(f"phi out of range [0, 2*pi]: {self.phi}")
-        if not (0.0 <= self.alpha <= TWO_PI):
-            raise ValueError(f"alpha out of range [0, 2*pi]: {self.alpha}")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta out of range [0, pi]: {self.theta}")
+        for name, top, shown in zip(("phi", "alpha", "theta"), ANGLE_TOPS, ("2*pi", "2*pi", "pi")):
+            value = getattr(self, name)
+            if not (0.0 <= value <= top):
+                raise ValueError(f"{name} out of range [0, {shown}]: {value}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.phi, self.alpha, self.theta)
@@ -66,6 +65,10 @@ def su2_from_angles(g: StrategyAngles) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+# The classical gates' angle triples, the theta poles: I = U(0, 0, 0) and Y = U(0, 0, pi).
+CLASSICAL_ANGLES = {"I": (0.0, 0.0, 0.0), "Y": (0.0, 0.0, math.pi)}
 
 
 def classical_gate(which: str) -> np.ndarray:

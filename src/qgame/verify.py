@@ -6,23 +6,19 @@ a fixed seed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _kernels
-from .entanglers import EntanglerSpec, build_entangler
+from .entanglers import BETA_MAX, EntanglerSpec, build_entangler
 from .games import CLOSED_FORMS, DA_BROTHER, closed_form_sq_amplitudes, final_state, payoffs
 from .linalg import _require_seed, _unitarity_error, is_unitary
 from .mesh import MeshSpec, mesh_angle_array
 from .search import analytic_best_response, find_pure_ne
-from .strategies import TWO_PI, StrategyAngles, su2_from_angles, su3_from_angles
+from .strategies import ANGLE_TOPS, TWO_PI, StrategyAngles, su2_from_angles, su3_from_angles
 
 
 def _random_angles(rng) -> StrategyAngles:
-    return StrategyAngles(
-        rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(0, math.pi)
-    )
+    return StrategyAngles(*(rng.random(3) * ANGLE_TOPS).tolist())
 
 
 def check_strategy_unitarity(rng):
@@ -40,7 +36,7 @@ def check_strategy_unitarity(rng):
 def check_entangler_unitarity(rng):
     worst = 0.0
     for _ in range(100):
-        beta = rng.uniform(0, math.pi / 2)
+        beta = rng.uniform(0, BETA_MAX)
         for family in ("j1", "j2"):
             j = build_entangler(EntanglerSpec(family, beta))
             if not is_unitary(j, 1e-12):
@@ -53,7 +49,7 @@ def check_norm_conservation(rng):
     worst = 0.0
     for _ in range(200):
         family = "j1" if rng.integers(2) == 0 else "j2"
-        j = build_entangler(EntanglerSpec(family, rng.uniform(0, math.pi / 2)))
+        j = build_entangler(EntanglerSpec(family, rng.uniform(0, BETA_MAX)))
         amps = final_state(j, _random_angles(rng), _random_angles(rng))
         worst = max(worst, abs(float(np.abs(amps) ** 2 @ np.ones(4)) - 1.0))
     return "norm_conservation", worst <= 1e-12, worst
@@ -82,7 +78,7 @@ def check_best_response_targets(rng):
     worst = 1.0
     for _ in range(250):
         g = _random_angles(rng)
-        for form in ("psi_plus", "triplet"):
+        for form in CLOSED_FORMS:
             for responder in (1, 2):
                 reply = analytic_best_response(responder, form, g)
                 worst = min(worst, _target_amplitude(responder, form, reply, g))

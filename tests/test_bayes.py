@@ -23,7 +23,7 @@ from qgame.entanglers import EntanglerSpec
 from qgame.games import GameTable, closed_form_sq_amplitudes
 from qgame.mesh import MeshSpec
 from qgame.search import analytic_best_response, best_response_table
-from qgame.strategies import StrategyAngles, classical_gate, su2_from_angles
+from qgame.strategies import CLASSICAL_ANGLES, StrategyAngles, classical_gate, su2_from_angles
 
 GRID = MeshSpec(9, 17, 17)
 ORIGIN = StrategyAngles(0, 0, 0)
@@ -89,6 +89,10 @@ class TestBestResponses:
         assert keep.as_tuple() == (0.0, 3 * math.pi / 2, 0.0)
         assert np.abs(su2_from_angles(flip) - classical_gate("Y")).max() <= 1e-15
         assert np.array_equal(su2_from_angles(keep), classical_gate("I"))
+
+    def test_candidate_replies_are_the_classical_gates(self):
+        prof = candidate_profile(ORIGIN)
+        assert (prof.g2I.as_tuple(), prof.g2II.as_tuple()) == (CLASSICAL_ANGLES["Y"], CLASSICAL_ANGLES["I"])
 
     def test_mesh_replies_to_identity_are_unique(self):
         # on the mesh, type I's only best reply to the identity is the flip

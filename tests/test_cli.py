@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qgame import cli, verify
+from qgame.bayes import GAME_TYPE_I, GAME_TYPE_II
 from qgame.cli import main
 from qgame.mesh import MeshSpec
 
@@ -138,6 +139,15 @@ class TestSearchNe:
         code, out, err = run(capsys, "search-ne", "--game", str(path), "--mesh", "3,3,3")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "u1" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_table_whose_w_overflows_exits_2(self, capsys, tmp_path):
+        # finite entries; the flat table at 5e307 lists every pair
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"name": "flat", "u1": [[1.7e308] * 2] * 2, "u2": [[1.7e308] * 2] * 2}))
+        code, out, err = run(capsys, "search-ne", "--game", str(path), "--mesh", "3,3,3")
+        assert code == 2 and out == ""
+        assert err == "error: payoffs too large: the payoff form W of the table overflows\n"
 
 
 class TestMeshBudget:
@@ -425,6 +435,18 @@ class TestBayes:
         code, _, err = run(capsys, "bayes", "--spec", str(path))
         assert code == 2 and "not a best response" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_spec_tables_whose_w_overflows_exit_2(self, capsys, tmp_path):
+        types = {}
+        for key, t in (("game_2I", GAME_TYPE_I), ("game_2II", GAME_TYPE_II)):
+            u1, u2 = (np.multiply(u, 1e307).tolist() for u in (t.u1, t.u2))
+            types[key] = {"name": key, "u1": u1, "u2": u2}
+        path = tmp_path / "bayes.json"
+        path.write_text(json.dumps({"mu": 0.1, **types}))
+        code, out, err = run(capsys, "bayes", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: payoffs too large: the payoff form W of the table overflows\n"
+
 
 class TestMixedDemo:
     def test_uniform_cycle_payoffs(self, capsys):
@@ -463,7 +485,8 @@ class TestQutrit:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+    # 3 * 1e308 overflows in J's coefficients
+    @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e308", "-1e308"])
     def test_non_finite_beta_exits_2(self, capsys, beta):
         # Infinity and NaN are not JSON, so they must not reach the output
         code, out, err = run(capsys, "qutrit-entangler", f"--beta={beta}")

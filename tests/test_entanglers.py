@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.entanglers import (
+    BETA_MAX,
     Y_TENSOR_Y,
     EntanglerSpec,
     bell_state,
@@ -34,6 +35,11 @@ class TestEntanglerSpec:
     def test_bad_beta(self, beta):
         with pytest.raises(ValueError):
             EntanglerSpec("j1", beta)
+
+    def test_top_beta_takes_a_rounding_margin(self):
+        assert EntanglerSpec("j1", BETA_MAX + 5e-13).beta == BETA_MAX + 5e-13
+        with pytest.raises(ValueError, match="beta out of range"):
+            EntanglerSpec("j1", BETA_MAX + 2e-12)
 
     def test_identity_ignores_beta_but_still_checks_it(self):
         with pytest.raises(ValueError, match="beta out of range"):

@@ -2,6 +2,7 @@ import inspect
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,3 +266,34 @@ def test_each_caller_builds_w_once(monkeypatch):
     m2 = games.MixedStrategy(((gs[3], 0.25), (gs[0], 0.75)))
     games.mixed_payoff(m1, m2, build_entangler(spec), PRISONER_DILEMMA)
     assert (len(built), len(blocks), len(states)) == (1, 1, 0)
+
+
+def _scaled(game, factor):
+    return games.GameTable(game.name, np.multiply(game.u1, factor), np.multiply(game.u2, factor))
+
+
+@pytest.mark.filterwarnings("error")
+def test_table_whose_w_overflows_is_refused_without_warnings():
+    # every entry is finite, but at 1e307 the sums that build W overflow
+    j1_0 = EntanglerSpec("j1", 0.0)
+    assert [p[:2] for p in search.find_pure_ne(_scaled(DA_BROTHER, 5e306), j1_0, MESH).pairs] == [(245, 245)]
+    huge = _scaled(DA_BROTHER, 1e307)
+    with pytest.raises(ValueError, match="W of the table overflows"):
+        search.find_pure_ne(huge, j1_0, MESH)
+    with pytest.raises(ValueError, match="W of the table overflows"):
+        search.best_response_table(huge, j1_0, MeshSpec(3, 3, 3), 2)
+    g1, g2 = StrategyAngles(0.3, 1.2, 0.8), StrategyAngles(2.0, 0.1, 2.5)
+    m1, m2 = games.MixedStrategy.point(g1), games.MixedStrategy.point(g2)
+    with pytest.raises(ValueError, match="W of the table overflows"):
+        games.mixed_payoff(m1, m2, build_entangler(j1_0), huge)
+    # the matrix protocol behind `qgame payoff` still evaluates the table
+    assert all(math.isfinite(x) for x in payoffs(final_state(build_entangler(j1_0), g1, g2), huge))
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_refuses_a_table_whose_w_overflows():
+    coordination = [[1.0, 0.0], [0.0, 0.0]]
+    assert not search.no_psne_certificate("psi_plus", 50, games.GameTable("c", coordination, coordination))
+    huge = np.multiply(coordination, 1e308)
+    with pytest.raises(ValueError, match="W of the table overflows"):
+        search.no_psne_certificate("psi_plus", 50, games.GameTable("c", huge, huge))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qgame._kernels import _features
 from qgame.mesh import MeshSpec, angles_to_index, index_to_angles, mesh_angle_array, mesh_classes
-from qgame.strategies import StrategyAngles
+from qgame.strategies import CLASSICAL_ANGLES, StrategyAngles
 
 mesh_specs = st.builds(
     MeshSpec,
@@ -58,6 +58,8 @@ class TestIndexing:
         mesh = MeshSpec(9, 17, 17)
         assert index_to_angles(mesh, 1) == StrategyAngles(0, 0, 0)
         assert index_to_angles(mesh, 2025) == StrategyAngles(0, 0, math.pi)
+        assert index_to_angles(mesh, 1).as_tuple() == CLASSICAL_ANGLES["I"]
+        assert index_to_angles(mesh, 2025).as_tuple() == CLASSICAL_ANGLES["Y"]
 
     def test_first_interior(self):
         mesh = MeshSpec(9, 17, 17)

@@ -77,6 +77,9 @@ class TestEntangler:
     def test_unitary_for_all_beta(self, beta):
         assert is_unitary(qutrit_entangler(beta), 1e-12)
 
+    def test_largest_beta_is_unitary(self):
+        assert is_unitary(qutrit_entangler(5.99e307))
+
     def test_identity_at_zero(self):
         assert np.allclose(qutrit_entangler(0.0), np.eye(9))
 
@@ -88,9 +91,10 @@ class TestEntangler:
             want = (v * np.exp(1j * beta * lam)) @ v.T
             assert np.abs(qutrit_entangler(beta) - want).max() < 1e-12
 
-    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    # 3 * 1e308 overflows in J's coefficients; 3 * 5.99e307 does not
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, 1e308, -1e308])
     def test_non_finite_beta_refused(self, beta):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="beta.*finite"):
             qutrit_entangler(beta)
         with pytest.raises(ValueError, match="finite"):
             entangled_initial_state(beta)

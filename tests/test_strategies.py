@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.strategies import (
+    CLASSICAL_ANGLES,
     StrategyAngles,
     bloch_coords,
     classical_gate,
@@ -60,6 +61,11 @@ class TestSu2:
         assert np.allclose(
             su2_from_angles(StrategyAngles(0, 0, math.pi)), classical_gate("Y")
         )
+
+    @pytest.mark.parametrize("which", ["I", "Y"])
+    def test_classical_angles_give_the_classical_gates(self, which):
+        u = su2_from_angles(StrategyAngles(*CLASSICAL_ANGLES[which]))
+        assert np.abs(u - classical_gate(which)).max() <= 1e-16
 
     @given(angle_triples)
     @settings(max_examples=100)

@@ -6,9 +6,10 @@ functions, the protocol's final amplitudes, the qutrit J|00>, the Bell and
 partial states, the Bayesian type tables, the identity entangler's spec, the
 bytes of J for the identity, J1(0), J1(pi/2) and J2(pi/2) entanglers, the
 structural predicates (product states, tensor products, commutants,
-unitarity, classical commensurability), the mesh's payoff classes and the
-refusal of bad seeds and NaN Bloch amplitudes as they were, to the last bit
-of every float:
+unitarity, classical commensurability), the mesh's payoff classes, the
+handling of payoff tables and qutrit angles near the float limit and the
+refusal of bad seeds, NaN Bloch amplitudes, responders, closed forms, angles
+and beta beyond their ranges as they were, to the last bit of every float:
 
     python tools/api_snapshot.py > after.txt
     python tools/api_snapshot.py --src /path/to/other/checkout/src > before.txt
@@ -176,6 +177,7 @@ def calls(qgame, np):
         lambda: qgame.mixed_payoff(m1, m2, 2.0 * np.eye(4), qgame.PRISONER_DILEMMA),
     )
     yield from _structure_calls(qgame, np, angles, unitary)
+    yield from _limit_calls(qgame, np, m1, m2)
 
 
 def _structure_calls(qgame, np, angles, unitary):
@@ -295,6 +297,49 @@ def _structure_calls(qgame, np, angles, unitary):
             f"mesh_classes {dims}",
             lambda d=dims: [a.tolist() for a in qgame.mesh.mesh_classes(qgame.MeshSpec(*d))],
         )
+
+
+def _limit_calls(qgame, np, m1, m2):
+    """Tables near the float limit, and one refusal per range rule."""
+    da = qgame.DA_BROTHER
+    huge = qgame.GameTable("da_brother_x1e307", *(np.multiply(t, 1e307).tolist() for t in (da.u1, da.u2)))
+    j1_0 = qgame.EntanglerSpec("j1", 0.0)
+    tiny = qgame.MeshSpec(3, 3, 3)
+    yield (
+        "find_pure_ne da_brother x1e307 j1(0.0) (5, 9, 9)",
+        lambda: qgame.find_pure_ne(huge, j1_0, qgame.MeshSpec(5, 9, 9)),
+    )
+    yield (
+        "best_response_table da_brother x1e307 j1(0.0) (3, 3, 3) responder=2",
+        lambda: qgame.best_response_table(huge, j1_0, tiny, 2),
+    )
+    yield (
+        "mixed_payoff da_brother x1e307 j1(0.0)",
+        lambda: qgame.mixed_payoff(m1, m2, qgame.build_entangler(j1_0), huge),
+    )
+    corner = ((1e308, 0.0), (0.0, 0.0))
+    coordination = qgame.GameTable("coordination_1e308", corner, corner)
+    yield (
+        "no_psne_certificate psi_plus coordination_1e308",
+        lambda: qgame.no_psne_certificate("psi_plus", 50, coordination),
+    )
+    for beta in (1e308, -1e308):
+        yield f"qutrit_entangler {beta!r}", lambda b=beta: qgame.qutrit_entangler(b).tolist()
+    origin = qgame.StrategyAngles(0.0, 0.0, 0.0)
+    for r in (0, True):
+        yield f"best_response_table responder={r!r}", lambda r=r: qgame.best_response_table(da, j1_0, tiny, r)
+        yield (
+            f"analytic_best_response responder={r!r}",
+            lambda r=r: qgame.analytic_best_response(r, "psi_plus", origin),
+        )
+    yield "closed_form_sq_amplitudes bogus", lambda: qgame.closed_form_sq_amplitudes("bogus", origin, origin)
+    yield "analytic_best_response bogus", lambda: qgame.analytic_best_response(1, "bogus", origin)
+    yield "no_psne_certificate bogus", lambda: qgame.no_psne_certificate("bogus", 10)
+    for k, top in enumerate((2 * math.pi, 2 * math.pi, math.pi)):
+        triple = [0.0, 0.0, 0.0]
+        triple[k] = math.nextafter(top, math.inf)
+        yield f"StrategyAngles {triple!r}", lambda t=triple: qgame.StrategyAngles(*t)
+    yield "EntanglerSpec j1 pi/2 + 2e-12", lambda: qgame.EntanglerSpec("j1", math.pi / 2 + 2e-12)
 
 
 def main(argv=None) -> int:

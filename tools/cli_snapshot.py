@@ -38,6 +38,8 @@ FILES = {
     **SPECS,
     "integer_mu.json": {"mu": 0, "game_2I": TYPE_I, "game_2II": TYPE_II},
     "mixed_table.json": {"name": "mixed_table", "u1": [[0, -10], [-1.5, -5]], "u2": [[-2, -1.5], [-10, -5.0]]},
+    # finite entries whose payoff form overflows
+    "flat_1.7e308.json": {"name": "flat_1.7e308", "u1": [[1.7e308] * 2] * 2, "u2": [[1.7e308] * 2] * 2},
 }
 
 
@@ -65,7 +67,9 @@ def calls(tmp: str):
     yield ["sweep-beta", "--game", "prisoner_dilemma", "--mesh", "5,9,9", "--beta-steps", "6", "--format", "json"]
     yield ["payoff", "--game", "prisoner_dilemma", "--p1", "0.3,1.2,0.8", "--p2", "2.0,0.1,2.5"]
     yield ["payoff", "--game", "da_brother", "--entangler", "j2", "--beta", "0.7", "--p1", "0,0,3.14", "--p2", "1,1,1"]
+    yield ["search-ne", "--game", os.path.join(tmp, "flat_1.7e308.json"), "--mesh", "3,3,3"]
     yield ["qutrit-entangler", "--find-max"]
+    yield ["qutrit-entangler", "--beta", "1e308"]
 
 
 def main(argv=None) -> int:
